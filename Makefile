@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-fabric race-snapshot fabric-smoke fuzz fuzz-engines fuzz-snapshot equivalence alloc golden-update bench bench-json introspect-smoke check
+.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-fabric race-snapshot fabric-smoke fuzz fuzz-models fuzz-snapshot alloc golden-update bench bench-json introspect-smoke check
 
 # Every test invocation gets a hard -timeout (a wedged test must fail, not
 # hang CI — the same philosophy as the simulator's own watchdogs) and
@@ -68,9 +68,9 @@ race-fabric:
 
 # Race coverage of the durable mid-run snapshot plane: the codec's
 # corruption/torn-tail/version-skew detection, the sim-level
-# byte-identical resume contract on both engines, and the runner's
-# concurrent drain-stop/restore path. -short skips only the full
-# equivalence-matrix resume sweep, which the plain test run still covers.
+# byte-identical resume contract, and the runner's concurrent
+# drain-stop/restore path. -short skips only the full equivalence-matrix
+# resume sweep, which the plain test run still covers.
 race-snapshot:
 	$(GO) test $(TESTFLAGS) -race ./internal/snapshot/
 	$(GO) test $(TESTFLAGS) -race -short -run 'TestSnapshot' ./internal/sim/
@@ -91,11 +91,14 @@ fabric-smoke:
 fuzz:
 	$(GO) test ./internal/workload/ -fuzz FuzzGenerator -fuzztime 30s
 
-# Bounded fuzz pass over the fast-vs-reference engine equivalence: random
-# valid configurations through both simulation datapaths, byte-identical
-# metrics required. Extend -fuzztime for deeper soaks.
-fuzz-engines:
-	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s
+# Bounded fuzz pass over each structure oracle: random operation sequences
+# through a test-only model and the production TLB, POM-TLB and cache,
+# identical returns, counters and saved state required. Extend -fuzztime
+# for deeper soaks.
+fuzz-models:
+	$(GO) test ./internal/tlb/ -run '^$$' -fuzz FuzzTLBModel -fuzztime 30s
+	$(GO) test ./internal/tlb/ -run '^$$' -fuzz FuzzPOMModel -fuzztime 30s
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz FuzzCacheModel -fuzztime 30s
 
 # Bounded fuzz pass over the snapshot codec: encode→decode→re-encode must
 # reproduce the exact bytes and single-byte damage must never decode
@@ -103,24 +106,18 @@ fuzz-engines:
 fuzz-snapshot:
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
 
-# Differential-equivalence suite: the curated fig3/fig8-style matrix plus
-# the golden experiment tables, both engines, invariant checks armed.
-equivalence:
-	$(GO) test $(TESTFLAGS) -run 'EngineEquivalence' ./internal/sim/
-	$(GO) test $(TESTFLAGS) -run TestGoldenTablesEngineInvariant ./internal/experiment/
-
-# Allocation regression: the fast engine's steady-state step loop must
-# stay allocation-free (internal/sim/alloc_test.go). Runs without -race —
+# Allocation regression: the steady-state step loop must stay
+# allocation-free (internal/sim/alloc_test.go). Runs without -race —
 # the detector's instrumentation makes allocation counts meaningless.
 alloc:
 	$(GO) test $(TESTFLAGS) -run ZeroAllocs ./internal/sim/
 
-# Introspection smoke: the cross-engine attribution equivalence matrix
-# (report byte-identical on both engines), the passivity and ledger
-# tests, the zero-alloc and disabled-overhead gates, the golden-table
-# compare with the plane attached, and a real attribution run through
-# cmd/csaltsim with the conservation checkers armed (-check verifies
-# every probe's cause buckets sum to the counters they shadow).
+# Introspection smoke: the engine's pinned attribution-report digests
+# across the equivalence matrix, the passivity and ledger tests, the
+# zero-alloc and disabled-overhead gates, the golden-table compare with
+# the plane attached, and a real attribution run through cmd/csaltsim
+# with the conservation checkers armed (-check verifies every probe's
+# cause buckets sum to the counters they shadow).
 introspect-smoke:
 	$(GO) test $(TESTFLAGS) -run 'Introspect|Attribution' ./internal/sim/ ./internal/benchreg/
 	$(GO) test $(TESTFLAGS) -run TestDisabledIntrospectionGoldenTables ./internal/experiment/

@@ -99,7 +99,6 @@ func main() {
 		list        = flag.Bool("list", false, "list available experiments")
 		run         = flag.String("run", "", "experiment id to run, or 'all'")
 		scale       = flag.String("scale", "small", "tiny | small | paper")
-		engine      = flag.String("engine", "", "simulation engine: fast (default) | reference; tables are byte-identical either way")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "simulations to run concurrently (<=1 for sequential)")
 		quiet       = flag.Bool("quiet", false, "suppress the per-job progress/ETA line on stderr")
 		paperValues = flag.Bool("paper-values", false, "print the paper's reported values (optionally filtered by -run) and exit")
@@ -177,12 +176,6 @@ func main() {
 	sc, err := experiment.ScaleByName(*scale)
 	if err != nil {
 		usageFail("%v", err)
-	}
-	switch *engine {
-	case "", sim.EngineFast, sim.EngineReference:
-		sc.Engine = *engine
-	default:
-		usageFail("unknown engine %q (fast|reference)", *engine)
 	}
 
 	var todo []experiment.Experiment

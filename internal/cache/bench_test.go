@@ -7,17 +7,16 @@ import (
 )
 
 // BenchmarkCacheAccess measures the lookup-miss-fill cycle of a single
-// cache level under both line-metadata layouts, with a footprint a few
+// cache level, with a footprint a few
 // times the capacity so the victim-scan and writeback paths stay hot —
 // the same shape the simulator's L2 sees under GUPS. Picked up by
 // cmd/benchreg's go-bench pass.
-func benchCacheAccess(b *testing.B, flat bool) {
+func BenchmarkCacheAccess(b *testing.B) {
 	c := MustNew(Config{
 		Name:   "bench-l2",
 		SizeKB: 512,
 		Ways:   8,
 		Policy: PolicyLRU,
-		Flat:   flat,
 	})
 	lines := uint64(512 * 1024 / mem.LineSize * 3)
 	rng := uint64(0x9E3779B97F4A7C15)
@@ -33,9 +32,4 @@ func benchCacheAccess(b *testing.B, flat bool) {
 			c.Fill(addr, Data, write)
 		}
 	}
-}
-
-func BenchmarkCacheAccess(b *testing.B) {
-	b.Run("flat", func(b *testing.B) { benchCacheAccess(b, true) })
-	b.Run("reference", func(b *testing.B) { benchCacheAccess(b, false) })
 }

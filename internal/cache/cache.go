@@ -48,15 +48,6 @@ func (t LineType) String() string {
 // conventional system).
 const Unpartitioned = -1
 
-// line is one cache block's metadata. The simulator stores no data bytes —
-// only tags, state and the type bit.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	typ   LineType
-}
-
 // Writeback describes a dirty line evicted by a fill; the caller routes it
 // to the next level.
 type Writeback struct {
@@ -78,10 +69,6 @@ type Config struct {
 	InlineProfiler bool
 	// ProfilerSampleShift: profile every 2^n-th set (0 = every set).
 	ProfilerSampleShift uint
-	// Flat selects the packed-word line-metadata layout of the fast
-	// simulation engine (see flat.go); behaviour is bit-identical to the
-	// default struct layout.
-	Flat bool
 }
 
 // Stats aggregates a cache's counters, split by line type.
@@ -110,11 +97,11 @@ type Cache struct {
 	sets     int
 	ways     int
 	setShift uint
-	lines    []line   // sets*ways, row-major (reference layout; nil in flat mode)
-	words    []uint64 // packed flat layout (nil in reference mode; see flat.go)
-	flat     bool
-	policy   Policy
-	lru      *trueLRU // concrete policy when PolicyLRU, for devirtualized flat paths
+	// words holds one packed metadata word per line (see flat.go), sets*ways
+	// row-major. The simulator stores no data bytes.
+	words  []uint64
+	policy Policy
+	lru    *trueLRU // concrete policy when PolicyLRU, for devirtualized paths
 
 	// partition is the number of ways reserved for data lines in each set;
 	// Unpartitioned disables enforcement.
@@ -123,6 +110,11 @@ type Cache struct {
 	profiler *Profiler // nil unless cfg.Profiled
 
 	ip *introspect.Probe // nil unless an attribution plane is attached
+
+	// absenceBroken records the first FillMissed call whose absence proof
+	// was false; only the invariants build checks (see absence_on.go), and
+	// CheckStructure reports it.
+	absenceBroken string
 
 	Stats Stats
 }
@@ -146,13 +138,8 @@ func New(cfg Config) (*Cache, error) {
 		sets:      sets,
 		ways:      cfg.Ways,
 		setShift:  uint(bits.TrailingZeros(uint(sets))),
-		flat:      cfg.Flat,
+		words:     make([]uint64, sets*cfg.Ways),
 		partition: Unpartitioned,
-	}
-	if cfg.Flat {
-		c.words = make([]uint64, sets*cfg.Ways)
-	} else {
-		c.lines = make([]line, sets*cfg.Ways)
 	}
 	p, err := NewPolicy(cfg.Policy, sets, cfg.Ways)
 	if err != nil {
@@ -199,8 +186,8 @@ func (c *Cache) Profiler() *Profiler { return c.profiler }
 // Partition returns the current data-way allocation (Unpartitioned if off).
 func (c *Cache) Partition() int { return c.partition }
 
-// SetIntrospect attaches an attribution probe; both line layouts feed it
-// identical decoded keys, so attribution is engine-invariant.
+// SetIntrospect attaches an attribution probe, keyed by line address and
+// type (see lineKey).
 func (c *Cache) SetIntrospect(p *introspect.Probe) { c.ip = p }
 
 // lineKey is the attribution identity of one cached line: its line address
@@ -259,17 +246,15 @@ func (c *Cache) index(addr mem.PAddr) (set int, tag uint64) {
 // "Cache Lookup"). write marks the line dirty on a hit.
 func (c *Cache) Lookup(addr mem.PAddr, typ LineType, write bool) bool {
 	c.Stats.Lookups.Inc()
-	if c.flat {
-		return c.lookupFlat(addr, typ, write)
-	}
 	set, tag := c.index(addr)
 	base := set * c.ways
 	if c.profiler != nil && !c.profiler.Inline() {
 		c.profiler.Access(set, tag, typ)
 	}
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
+	words := c.words[base : base+c.ways]
+	for w := range words {
+		wd := words[w]
+		if wd&wordValid != 0 && wd>>wordTagSh == tag {
 			c.Stats.ByType[typ].Hit()
 			if c.ip != nil {
 				c.ip.Hit(set, c.lineKey(set, tag, typ))
@@ -278,9 +263,9 @@ func (c *Cache) Lookup(addr mem.PAddr, typ LineType, write bool) bool {
 				c.profiler.RecordPos(typ, c.policy.StackPos(set, w))
 			}
 			if write {
-				ln.dirty = true
+				words[w] = wd | wordDirty
 			}
-			c.policy.Touch(set, w)
+			c.touch(set, w)
 			return true
 		}
 	}
@@ -305,30 +290,14 @@ func (c *Cache) SetIndex(addr mem.PAddr) int {
 // level uses it so that victim traffic does not pollute the demand-stream
 // profiling the partitioning decisions are based on.
 func (c *Cache) MarkDirty(addr mem.PAddr) bool {
-	if c.flat {
-		return c.markDirtyFlat(addr)
-	}
 	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			ln.dirty = true
-			c.policy.Touch(set, w)
-			return true
-		}
+	way := c.wayOf(set, tag)
+	if way < 0 {
+		return false
 	}
-	return false
-}
-
-// FillQuiet inserts a line without counting an insertion in the demand
-// statistics — used for writeback allocations from an upper level.
-func (c *Cache) FillQuiet(addr mem.PAddr, typ LineType, dirty bool) Writeback {
-	wb := c.Fill(addr, typ, dirty)
-	if c.Stats.Insertions[typ] > 0 {
-		c.Stats.Insertions[typ]--
-	}
-	return wb
+	c.words[set*c.ways+way] |= wordDirty
+	c.touch(set, way)
+	return true
 }
 
 // ResetStats zeroes the hit/miss/insertion/writeback counters (warmup
@@ -336,20 +305,9 @@ func (c *Cache) FillQuiet(addr mem.PAddr, typ LineType, dirty bool) Writeback {
 func (c *Cache) ResetStats() { c.Stats = Stats{} }
 
 // Peek reports whether addr is present without touching any state; tests
-// and invariant checks use it.
+// use it.
 func (c *Cache) Peek(addr mem.PAddr) bool {
-	if c.flat {
-		return c.peekFlat(addr)
-	}
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.wayOf(c.index(addr)) >= 0
 }
 
 // victimRange returns the way range [lo, hi) eligible for eviction when
@@ -369,67 +327,45 @@ func (c *Cache) victimRange(typ LineType) (lo, hi int) {
 // Filling an address that is already resident refreshes its state instead
 // of duplicating it.
 func (c *Cache) Fill(addr mem.PAddr, typ LineType, dirty bool) Writeback {
-	if c.flat {
-		return c.fillFlat(addr, typ, dirty)
-	}
 	set, tag := c.index(addr)
-	base := set * c.ways
+	way := c.wayOf(set, tag)
+	if way < 0 {
+		wb, _ := c.insert(set, tag, typ, dirty)
+		return wb
+	}
 	// Already present (e.g. two outstanding misses to one line): refresh.
-	for w := 0; w < c.ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == tag {
-			ln.dirty = ln.dirty || dirty
-			ln.typ = typ
-			c.policy.Touch(set, w)
-			return Writeback{}
-		}
+	i := set*c.ways + way
+	nw := c.words[i]&^wordTyp | uint64(typ)<<2
+	if dirty {
+		nw |= wordDirty
 	}
-	lo, hi := c.victimRange(typ)
-	// Prefer an invalid way inside the range.
-	victim := -1
-	for w := lo; w < hi; w++ {
-		if !c.lines[base+w].valid {
-			victim = w
-			break
-		}
-	}
-	if victim < 0 {
-		victim = c.policy.Victim(set, lo, hi)
-	}
-	ln := &c.lines[base+victim]
-	var wb Writeback
-	if ln.valid && ln.dirty {
-		wb = Writeback{Addr: c.addrOf(set, ln.tag), Typ: ln.typ, Valid: true}
-		c.Stats.Writebacks.Inc()
-	}
-	if c.ip != nil {
-		if ln.valid {
-			c.ip.EvictCur(set, c.lineKey(set, ln.tag, ln.typ))
-		}
-		c.ip.FillCur(set, c.lineKey(set, tag, typ))
-	}
-	*ln = line{tag: tag, valid: true, dirty: dirty, typ: typ}
-	c.Stats.Insertions[typ].Inc()
-	c.policy.Fill(set, victim)
-	return wb
+	c.words[i] = nw
+	c.touch(set, way)
+	return Writeback{}
 }
 
 // FillMissed is Fill for callers that have just proven the line absent —
 // a Lookup, Peek or MarkDirty of addr returned a miss with no intervening
-// operation on this cache. The flat layout then skips Fill's
-// already-present refresh scan; behaviour is otherwise identical (the
-// reference layout always performs the full Fill, so the equivalence suite
-// cross-checks the callers' absence proofs).
+// operation on this cache — so it skips Fill's already-present refresh
+// scan. The invariants build verifies the proof and reports a false one
+// through CheckStructure.
 func (c *Cache) FillMissed(addr mem.PAddr, typ LineType, dirty bool) Writeback {
-	if !c.flat {
-		return c.Fill(addr, typ, dirty)
-	}
-	set, tag := c.index(addr)
-	base := set * c.ways
-	return c.fillMissedFlat(set, tag, c.words[base:base+c.ways], typ, dirty)
+	wb, _, _ := c.fillMissed(addr, typ, dirty)
+	return wb
 }
 
-// FillQuietMissed is FillQuiet under FillMissed's absence contract.
+// fillMissed is FillMissed also returning the set and way filled.
+func (c *Cache) fillMissed(addr mem.PAddr, typ LineType, dirty bool) (wb Writeback, set, way int) {
+	set, tag := c.index(addr)
+	if checkAbsence && c.absenceBroken == "" && c.wayOf(set, tag) >= 0 {
+		c.absenceBroken = fmt.Sprintf("FillMissed(%#x): line already resident", uint64(addr))
+	}
+	wb, way = c.insert(set, tag, typ, dirty)
+	return wb, set, way
+}
+
+// FillQuietMissed is FillMissed without counting an insertion in the
+// demand statistics — used for writeback allocations from an upper level.
 func (c *Cache) FillQuietMissed(addr mem.PAddr, typ LineType, dirty bool) Writeback {
 	wb := c.FillMissed(addr, typ, dirty)
 	if c.Stats.Insertions[typ] > 0 {
@@ -438,44 +374,13 @@ func (c *Cache) FillQuietMissed(addr mem.PAddr, typ LineType, dirty bool) Writeb
 	return wb
 }
 
-// FillAtMissed is FillAt under FillMissed's absence contract.
+// FillAtMissed is FillMissed with an explicit insertion recency:
+// promote=false inserts at LRU position (bimodal/DIP-style insertion),
+// promote=true at MRU. Victim selection is identical to FillMissed.
 func (c *Cache) FillAtMissed(addr mem.PAddr, typ LineType, dirty, promote bool) Writeback {
-	wb := c.FillMissed(addr, typ, dirty)
+	wb, set, way := c.fillMissed(addr, typ, dirty)
 	if !promote {
-		if c.flat {
-			c.fillAtDemoteFlat(addr)
-			return wb
-		}
-		set, tag := c.index(addr)
-		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
-			if c.lines[base+w].valid && c.lines[base+w].tag == tag {
-				c.policy.Demote(set, w)
-				break
-			}
-		}
-	}
-	return wb
-}
-
-// FillAt inserts with an explicit insertion recency: promote=false inserts
-// at LRU position (bimodal/DIP-style insertion), promote=true at MRU.
-// Victim selection is identical to Fill.
-func (c *Cache) FillAt(addr mem.PAddr, typ LineType, dirty, promote bool) Writeback {
-	wb := c.Fill(addr, typ, dirty)
-	if !promote {
-		if c.flat {
-			c.fillAtDemoteFlat(addr)
-			return wb
-		}
-		set, tag := c.index(addr)
-		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
-			if c.lines[base+w].valid && c.lines[base+w].tag == tag {
-				c.policy.Demote(set, w)
-				break
-			}
-		}
+		c.policy.Demote(set, way)
 	}
 	return wb
 }
@@ -489,13 +394,10 @@ func (c *Cache) addrOf(set int, tag uint64) mem.PAddr {
 // ("periodically the simulator scanned the caches to record the fraction
 // of TLB entries held in them").
 func (c *Cache) Occupancy() (tlbLines, validLines int) {
-	if c.flat {
-		return c.occupancyFlat()
-	}
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, wd := range c.words {
+		if wd&wordValid != 0 {
 			validLines++
-			if c.lines[i].typ == Translation {
+			if wordType(wd) == Translation {
 				tlbLines++
 			}
 		}
@@ -512,26 +414,20 @@ func (c *Cache) TypeInWays() (dataInDataWays, dataInTLBWays, tlbInDataWays, tlbI
 	if n == Unpartitioned {
 		n = c.ways
 	}
-	if c.flat {
-		return c.typeInWaysFlat(n)
-	}
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			ln := c.lines[s*c.ways+w]
-			if !ln.valid {
-				continue
-			}
-			inData := w < n
-			switch {
-			case ln.typ == Data && inData:
-				dataInDataWays++
-			case ln.typ == Data && !inData:
-				dataInTLBWays++
-			case ln.typ == Translation && inData:
-				tlbInDataWays++
-			default:
-				tlbInTLBWays++
-			}
+	for i, wd := range c.words {
+		if wd&wordValid == 0 {
+			continue
+		}
+		inData := i%c.ways < n
+		switch {
+		case wordType(wd) == Data && inData:
+			dataInDataWays++
+		case wordType(wd) == Data && !inData:
+			dataInTLBWays++
+		case wordType(wd) == Translation && inData:
+			tlbInDataWays++
+		default:
+			tlbInTLBWays++
 		}
 	}
 	return
@@ -555,9 +451,13 @@ func (c *Cache) CheckConservation() string {
 // per-set valid count within associativity (implied by storage), total
 // occupancy within capacity, the two independent occupancy scans
 // (Occupancy and TypeInWays) in agreement, and the way partition summing
-// to the associativity with each type holding at least one way. It
-// returns a detail string when broken ("" while the invariants hold).
+// to the associativity with each type holding at least one way; the
+// invariants build adds the FillMissed absence proofs. It returns a detail
+// string when broken ("" while the invariants hold).
 func (c *Cache) CheckStructure() string {
+	if c.absenceBroken != "" {
+		return c.absenceBroken
+	}
 	tlbLines, valid := c.Occupancy()
 	if cap := c.sets * c.ways; valid > cap {
 		return fmt.Sprintf("occupancy %d exceeds capacity %d", valid, cap)
@@ -586,10 +486,5 @@ func (c *Cache) CorruptPartitionForTest() { c.partition = c.ways + 1 }
 // Flush invalidates every line (used between experiment phases); dirty
 // contents are discarded, as the simulator tracks no data bytes.
 func (c *Cache) Flush() {
-	for i := range c.words {
-		c.words[i] = 0
-	}
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.words)
 }

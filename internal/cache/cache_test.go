@@ -227,7 +227,7 @@ func TestFillAtLRUInsertsAsVictim(t *testing.T) {
 	}
 	// Insert tag 5 at LRU position (BIP-style): the very next fill should
 	// evict it rather than older lines.
-	c.FillAt(addrFor(0, 5), Data, false, false)
+	c.FillAtMissed(addrFor(0, 5), Data, false, false)
 	c.Fill(addrFor(0, 6), Data, false)
 	if c.Peek(addrFor(0, 5)) {
 		t.Error("LRU-inserted line survived the next eviction")
@@ -273,8 +273,8 @@ func TestNoDuplicateTags(t *testing.T) {
 			for tag := 0; tag < 8; tag++ {
 				cnt := 0
 				for w := 0; w < c.ways; w++ {
-					ln := c.lines[set*c.ways+w]
-					if ln.valid && ln.tag == uint64(tag) {
+					wd := c.words[set*c.ways+w]
+					if wd&wordValid != 0 && wd>>wordTagSh == uint64(tag) {
 						cnt++
 					}
 				}

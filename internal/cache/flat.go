@@ -1,15 +1,10 @@
 package cache
 
-import (
-	"github.com/csalt-sim/csalt/internal/mem"
-)
-
-// Flat packed-word layout for cache line metadata, used by the fast
-// simulation engine (sim.Config.Engine == "fast").
+// Packed-word layout for cache line metadata.
 //
-// The reference layout stores each line as a struct (tag, valid, dirty,
-// typ) padded to 16 bytes, so a 16-way L3 probe walks four host cache
-// lines. The flat layout packs the whole line state into one uint64:
+// A struct per line (tag, valid, dirty, typ) would pad to 16 bytes, so a
+// 16-way L3 probe would walk four host cache lines. The cache instead packs
+// the whole line state into one uint64:
 //
 //	word = tag<<3 | typ<<2 | dirty<<1 | valid
 //
@@ -17,17 +12,16 @@ import (
 // TSB regions all sit under 2^42), so the tag — a line address shifted down
 // by the set bits — always fits the 61 bits above the flags. A probe is one
 // 64-bit load and a shift-compare per way; a 16-way set spans two host
-// lines.
+// lines. Snapshots store these words verbatim.
 //
-// The flat paths also bypass the Policy interface when the cache runs true
+// The hot paths also bypass the Policy interface when the cache runs true
 // LRU (the common case): Touch/Fill collapse to one store and one add on
 // the policy's sequence array, inlined at the call site instead of
 // dispatched. NRU and BT-pLRU still go through the interface.
 //
-// Semantics (match condition, victim choice, refresh, statistics, profiler
-// and policy interaction) mirror the reference layout exactly; the
-// differential equivalence suite in internal/sim asserts bit-identical
-// metrics.
+// A test-only model with one struct per line and the production Policy
+// (model_test.go) is fuzzed against this layout: return values, writebacks,
+// counters, occupancy scans and the saved state must agree.
 
 const (
 	wordValid = 1 << 0
@@ -47,9 +41,20 @@ func packWord(tag uint64, typ LineType, dirty bool) uint64 {
 
 func wordType(w uint64) LineType { return LineType((w >> 2) & 1) }
 
-// touchFlat records a hit in the replacement state, devirtualized for true
+// wayOf returns the way holding tag in set, or -1 if it is absent.
+func (c *Cache) wayOf(set int, tag uint64) int {
+	base := set * c.ways
+	for w, wd := range c.words[base : base+c.ways] {
+		if wd&wordValid != 0 && wd>>wordTagSh == tag {
+			return w
+		}
+	}
+	return -1
+}
+
+// touch records a hit in the replacement state, devirtualized for true
 // LRU. Identical to c.policy.Touch(set, way).
-func (c *Cache) touchFlat(set, way int) {
+func (c *Cache) touch(set, way int) {
 	if p := c.lru; p != nil {
 		p.seq[set*p.ways+way] = p.next
 		p.next++
@@ -58,9 +63,9 @@ func (c *Cache) touchFlat(set, way int) {
 	c.policy.Touch(set, way)
 }
 
-// victimFlat picks an eviction victim, devirtualized for true LRU.
-// Identical to c.policy.Victim(set, lo, hi).
-func (c *Cache) victimFlat(set, lo, hi int) int {
+// victim picks an eviction victim, devirtualized for true LRU. Identical
+// to c.policy.Victim(set, lo, hi).
+func (c *Cache) victim(set, lo, hi int) int {
 	if p := c.lru; p != nil {
 		seq := p.seq[set*p.ways+lo : set*p.ways+hi]
 		victim, best := 0, seq[0]
@@ -74,91 +79,12 @@ func (c *Cache) victimFlat(set, lo, hi int) int {
 	return c.policy.Victim(set, lo, hi)
 }
 
-func (c *Cache) lookupFlat(addr mem.PAddr, typ LineType, write bool) bool {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	if c.profiler != nil && !c.profiler.Inline() {
-		c.profiler.Access(set, tag, typ)
-	}
-	words := c.words[base : base+c.ways]
-	for w := range words {
-		wd := words[w]
-		if wd&wordValid != 0 && wd>>wordTagSh == tag {
-			c.Stats.ByType[typ].Hit()
-			if c.ip != nil {
-				c.ip.Hit(set, c.lineKey(set, tag, typ))
-			}
-			if c.profiler != nil && c.profiler.Inline() {
-				c.profiler.RecordPos(typ, c.policy.StackPos(set, w))
-			}
-			if write {
-				words[w] = wd | wordDirty
-			}
-			c.touchFlat(set, w)
-			return true
-		}
-	}
-	c.Stats.ByType[typ].Miss()
-	if c.ip != nil {
-		c.ip.Miss(set, c.lineKey(set, tag, typ))
-	}
-	if c.profiler != nil && c.profiler.Inline() {
-		c.profiler.RecordMiss(typ)
-	}
-	return false
-}
-
-func (c *Cache) markDirtyFlat(addr mem.PAddr) bool {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	words := c.words[base : base+c.ways]
-	for w := range words {
-		wd := words[w]
-		if wd&wordValid != 0 && wd>>wordTagSh == tag {
-			words[w] = wd | wordDirty
-			c.touchFlat(set, w)
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Cache) peekFlat(addr mem.PAddr) bool {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for _, wd := range c.words[base : base+c.ways] {
-		if wd&wordValid != 0 && wd>>wordTagSh == tag {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Cache) fillFlat(addr mem.PAddr, typ LineType, dirty bool) Writeback {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	words := c.words[base : base+c.ways]
-	// Already present (e.g. two outstanding misses to one line): refresh.
-	for w := range words {
-		wd := words[w]
-		if wd&wordValid != 0 && wd>>wordTagSh == tag {
-			nw := tag<<wordTagSh | uint64(typ)<<2 | (wd & wordDirty) | wordValid
-			if dirty {
-				nw |= wordDirty
-			}
-			words[w] = nw
-			c.touchFlat(set, w)
-			return Writeback{}
-		}
-	}
-	return c.fillMissedFlat(set, tag, words, typ, dirty)
-}
-
-// fillMissedFlat is the fill tail after the refresh scan — or the whole
-// fill when the caller has just proven the line absent (FillMissed).
-func (c *Cache) fillMissedFlat(set int, tag uint64, words []uint64, typ LineType, dirty bool) Writeback {
+// insert installs an absent line in set, preferring an invalid way inside
+// the partition's range for typ, else the policy's victim. It returns the
+// displaced dirty line's writeback, if any, and the way filled.
+func (c *Cache) insert(set int, tag uint64, typ LineType, dirty bool) (Writeback, int) {
+	words := c.words[set*c.ways : (set+1)*c.ways]
 	lo, hi := c.victimRange(typ)
-	// Prefer an invalid way inside the range.
 	victim := -1
 	for w := lo; w < hi; w++ {
 		if words[w]&wordValid == 0 {
@@ -167,7 +93,7 @@ func (c *Cache) fillMissedFlat(set int, tag uint64, words []uint64, typ LineType
 		}
 	}
 	if victim < 0 {
-		victim = c.victimFlat(set, lo, hi)
+		victim = c.victim(set, lo, hi)
 	}
 	wd := words[victim]
 	var wb Writeback
@@ -189,52 +115,5 @@ func (c *Cache) fillMissedFlat(set int, tag uint64, words []uint64, typ LineType
 	} else {
 		c.policy.Fill(set, victim)
 	}
-	return wb
-}
-
-func (c *Cache) fillAtDemoteFlat(addr mem.PAddr) {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	words := c.words[base : base+c.ways]
-	for w := range words {
-		if words[w]&wordValid != 0 && words[w]>>wordTagSh == tag {
-			c.policy.Demote(set, w)
-			break
-		}
-	}
-}
-
-func (c *Cache) occupancyFlat() (tlbLines, validLines int) {
-	for _, wd := range c.words {
-		if wd&wordValid != 0 {
-			validLines++
-			if wordType(wd) == Translation {
-				tlbLines++
-			}
-		}
-	}
-	return tlbLines, validLines
-}
-
-func (c *Cache) typeInWaysFlat(n int) (dataInDataWays, dataInTLBWays, tlbInDataWays, tlbInTLBWays int) {
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			wd := c.words[s*c.ways+w]
-			if wd&wordValid == 0 {
-				continue
-			}
-			inData := w < n
-			switch {
-			case wordType(wd) == Data && inData:
-				dataInDataWays++
-			case wordType(wd) == Data && !inData:
-				dataInTLBWays++
-			case wordType(wd) == Translation && inData:
-				tlbInDataWays++
-			default:
-				tlbInTLBWays++
-			}
-		}
-	}
-	return
+	return wb, victim
 }

@@ -7,9 +7,9 @@ import (
 	"github.com/csalt-sim/csalt/internal/stats"
 )
 
-// Snapshot export/import for the data caches. Line metadata serializes to
-// the flat engine's packed word form (tag<<3 | typ<<2 | dirty<<1 | valid)
-// in both layouts; replacement state is captured per policy kind, and the
+// Snapshot export/import for the data caches. Line metadata serializes as
+// the cache's packed words (tag<<3 | typ<<2 | dirty<<1 | valid), copied
+// verbatim; replacement state is captured per policy kind, and the
 // Mattson profilers flatten their auxiliary tag directories set-major. A
 // restore reproduces exactly the resident lines, recency order, partition
 // and counters the snapshot captured, so a resumed run's victim choices
@@ -123,9 +123,8 @@ func (p *Profiler) LoadState(st snapshot.ProfilerState) error {
 
 // SaveState exports the cache's complete mutable state.
 func (c *Cache) SaveState() snapshot.CacheState {
-	n := c.sets * c.ways
 	st := snapshot.CacheState{
-		Words:      make([]uint64, n),
+		Words:      append([]uint64(nil), c.words...),
 		Policy:     savePolicy(c.policy),
 		Partition:  c.partition,
 		Writebacks: c.Stats.Writebacks.Value(),
@@ -135,16 +134,6 @@ func (c *Cache) SaveState() snapshot.CacheState {
 		st.ByType[t] = hitRateState(c.Stats.ByType[t])
 		st.Insertions[t] = c.Stats.Insertions[t].Value()
 	}
-	if c.flat {
-		copy(st.Words, c.words)
-	} else {
-		for i := range c.lines {
-			ln := &c.lines[i]
-			if ln.valid {
-				st.Words[i] = packWord(ln.tag, ln.typ, ln.dirty)
-			}
-		}
-	}
 	if c.profiler != nil {
 		ps := c.profiler.SaveState()
 		st.Profiler = &ps
@@ -153,11 +142,10 @@ func (c *Cache) SaveState() snapshot.CacheState {
 }
 
 // LoadState overwrites the cache's mutable state from a snapshot taken by
-// a cache of the same geometry, policy and profiler mode (either layout).
+// a cache of the same geometry, policy and profiler mode.
 func (c *Cache) LoadState(st snapshot.CacheState) error {
-	n := c.sets * c.ways
-	if len(st.Words) != n {
-		return fmt.Errorf("cache %s: snapshot has %d line words, want %d", c.cfg.Name, len(st.Words), n)
+	if len(st.Words) != len(c.words) {
+		return fmt.Errorf("cache %s: snapshot has %d line words, want %d", c.cfg.Name, len(st.Words), len(c.words))
 	}
 	if err := loadPolicy(c.policy, st.Policy); err != nil {
 		return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
@@ -170,22 +158,7 @@ func (c *Cache) LoadState(st snapshot.CacheState) error {
 			return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 		}
 	}
-	if c.flat {
-		copy(c.words, st.Words)
-	} else {
-		for i, wd := range st.Words {
-			if wd&wordValid == 0 {
-				c.lines[i] = line{}
-				continue
-			}
-			c.lines[i] = line{
-				tag:   wd >> wordTagSh,
-				valid: true,
-				dirty: wd&wordDirty != 0,
-				typ:   wordType(wd),
-			}
-		}
-	}
+	copy(c.words, st.Words)
 	c.partition = st.Partition
 	for t := 0; t < int(numLineTypes); t++ {
 		c.Stats.ByType[t] = loadHitRate(st.ByType[t])

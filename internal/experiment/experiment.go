@@ -37,15 +37,6 @@ type Scale struct {
 	SwitchCycles  uint64 // the "10 ms" analogue at this scale
 	EpochLen      uint64 // the "256 K accesses" analogue
 	OccEvery      uint64
-
-	// Engine selects the simulation datapath for every run at this scale
-	// (sim.EngineFast, sim.EngineReference, or "" for the default fast
-	// engine). Both engines produce byte-identical tables — the
-	// differential-equivalence suite in internal/sim enforces it, and
-	// TestGoldenTablesEngineInvariant pins it at the rendered-table level —
-	// so this knob exists for cross-checking and for profiling the
-	// reference datapath, not for changing results.
-	Engine string
 }
 
 // The provided scales.
@@ -97,7 +88,6 @@ func (s Scale) BaseConfig() sim.Config {
 	cfg.SwitchIntervalCycles = s.SwitchCycles
 	cfg.EpochLen = s.EpochLen
 	cfg.OccupancyScanEvery = s.OccEvery
-	cfg.Engine = s.Engine
 	return cfg
 }
 

@@ -11,9 +11,7 @@
 // imported this package. Attribution is strictly read-only: probes mirror
 // the structures they watch (ownership maps, a same-capacity
 // fully-associative shadow LRU, generation stamps) but never feed a
-// decision back into the model, so fast- and reference-engine runs
-// produce byte-identical ledgers because the hook sites live in shared
-// wrapper code with identical decoded values.
+// decision back into the model.
 //
 // Attribution observes post-attach events only: entries installed before
 // AttachIntrospection (construction-time prewarm) have unknown owners, so

@@ -22,8 +22,8 @@ const maxPhaseBoundaries = 16384
 
 // phaseDetector is the online change-point detector. It consumes only
 // monotone counters (instructions retired, max core cycle, the plane's
-// never-reset L2 TLB miss count), so its decisions are identical across
-// engines and unaffected by the warmup stats reset.
+// never-reset L2 TLB miss count), so its decisions are deterministic and
+// unaffected by the warmup stats reset.
 type phaseDetector struct {
 	threshold float64
 

@@ -18,8 +18,7 @@ type evictRec struct {
 
 // Probe mirrors one set-associative structure (a TLB level, the POM-TLB,
 // or a cache) for miss-cause classification. The mirror is three maps and
-// a shadow LRU keyed by the same packed words the fast engine stores, so
-// both engine layouts decode to identical probe inputs:
+// a shadow LRU keyed by the same packed words the structures store:
 //
 //   - seen: every key ever observed (hit or miss) — first-miss keys are
 //     compulsory;

@@ -77,8 +77,8 @@ type PhaseReport struct {
 
 // Report is the plane's full attribution export. Slices follow wiring
 // order and maps render through encoding/json's sorted keys, so the
-// encoding is deterministic — the cross-engine equivalence tests compare
-// it byte for byte.
+// encoding is deterministic — the simulator's pinned-digest test compares
+// its sha256 byte for byte.
 type Report struct {
 	Structures []StructReport `json:"structures"`
 	Cores      []CoreReport   `json:"cores"`

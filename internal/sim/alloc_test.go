@@ -8,8 +8,8 @@ import (
 	"github.com/csalt-sim/csalt/internal/workload"
 )
 
-// Allocation regression tests for the fast engine's hot path. The whole
-// point of the flat component layouts is that a steady-state simulation
+// Allocation regression tests for the simulator's hot path. The whole
+// point of the packed component layouts is that a steady-state simulation
 // step — generator record, translation through the TLB hierarchy and
 // POM, data access through three cache levels and DRAM, MLP bookkeeping —
 // touches no allocator at all. One allocation per reference costs more
@@ -45,24 +45,23 @@ func measureStepAllocs(t *testing.T, sys *System) float64 {
 	})
 }
 
-// TestFastEngineStepZeroAllocs: the default (unpartitioned POM) fast
-// engine must run its steady-state step loop with zero allocations per
-// reference.
-func TestFastEngineStepZeroAllocs(t *testing.T) {
+// TestStepZeroAllocs: the default (unpartitioned POM) system must run its
+// steady-state step loop with zero allocations per reference.
+func TestStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	if avg := measureStepAllocs(t, steadySystem(t, nil)); avg != 0 {
-		t.Errorf("fast engine step allocates %v objects/ref, want 0", avg)
+		t.Errorf("step allocates %v objects/ref, want 0", avg)
 	}
 }
 
-// TestFastEngineStepZeroAllocsIntrospectionDisabled: the introspection
+// TestStepZeroAllocsIntrospectionDisabled: the introspection
 // hook sites added to every hot path (TLB lookup/insert, cache
 // lookup/fill, DRAM queueing, walker completion, every core
 // cycle-advance) must compile down to one nil compare each when no plane
 // is attached — the steady-state step still touches no allocator.
-func TestFastEngineStepZeroAllocsIntrospectionDisabled(t *testing.T) {
+func TestStepZeroAllocsIntrospectionDisabled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -75,12 +74,12 @@ func TestFastEngineStepZeroAllocsIntrospectionDisabled(t *testing.T) {
 	}
 }
 
-// TestFastEngineStepZeroAllocsIntrospectionAttached: even with the
+// TestStepZeroAllocsIntrospectionAttached: even with the
 // attribution plane live — classification maps, shadow LRUs, heatmaps,
 // ledger — the steady-state step stays allocation-free: the shadow LRU
 // is an index-linked arena and the classification maps stop growing once
 // the working set has been seen.
-func TestFastEngineStepZeroAllocsIntrospectionAttached(t *testing.T) {
+func TestStepZeroAllocsIntrospectionAttached(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -98,16 +97,16 @@ func TestFastEngineStepZeroAllocsIntrospectionAttached(t *testing.T) {
 	}
 }
 
-// TestFastEngineStepZeroAllocsCSALT: the probe configuration's scheme —
+// TestStepZeroAllocsCSALT: the probe configuration's scheme —
 // CSALT-CD with both cache controllers and ATD profilers live — must
 // stay allocation-free too; epoch-boundary repartitioning may only use
 // preallocated state.
-func TestFastEngineStepZeroAllocsCSALT(t *testing.T) {
+func TestStepZeroAllocsCSALT(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	sys := steadySystem(t, func(c *Config) { c.Scheme = core.CriticalityDynamic })
 	if avg := measureStepAllocs(t, sys); avg != 0 {
-		t.Errorf("CSALT-CD fast engine step allocates %v objects/ref, want 0", avg)
+		t.Errorf("CSALT-CD step allocates %v objects/ref, want 0", avg)
 	}
 }

@@ -11,12 +11,9 @@ import (
 // step — generator, translation, data path, MLP bookkeeping — through the
 // benchreg probe's configuration (2 cores, GUPS/GUPS, CSALT-CD), driven
 // by the same min-cycle-first schedule as the run loop's batched inner
-// loop. The fast/reference pair is the whole-engine speedup; the
-// per-subsystem layout deltas live in the tlb and cache packages.
-// Picked up by cmd/benchreg's go-bench pass.
-func benchEpochBatch(b *testing.B, engine string) {
+// loop. Picked up by cmd/benchreg's go-bench pass.
+func BenchmarkEpochBatch(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Engine = engine
 	cfg.Cores = 2
 	cfg.Scale = 0.1
 	cfg.Scheme = core.CriticalityDynamic
@@ -42,9 +39,4 @@ func benchEpochBatch(b *testing.B, engine string) {
 			b.Fatalf("step: ok=%v err=%v", ok, err)
 		}
 	}
-}
-
-func BenchmarkEpochBatch(b *testing.B) {
-	b.Run("fast", func(b *testing.B) { benchEpochBatch(b, EngineFast) })
-	b.Run("reference", func(b *testing.B) { benchEpochBatch(b, EngineReference) })
 }

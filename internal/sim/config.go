@@ -42,25 +42,8 @@ func (o TranslationOrg) String() string {
 	}
 }
 
-// Engine names for Config.Engine.
-const (
-	// EngineFast selects the flat struct-of-arrays component layouts and
-	// the fast translation/data fast paths (the default).
-	EngineFast = "fast"
-	// EngineReference selects the original component layouts and
-	// datapaths, kept alive as the differential-equivalence baseline.
-	EngineReference = "reference"
-)
-
 // Config describes one simulated machine + workload pairing.
 type Config struct {
-	// Engine selects the simulation datapath implementation: "fast" (the
-	// default; "" means fast) uses flat index-addressed component state and
-	// allocation-free lookup paths, "reference" the original
-	// implementation. Both produce bit-identical metrics — the differential
-	// equivalence suite (internal/sim/equivalence_test.go) enforces it.
-	Engine string
-
 	// Workload.
 	Mix             workload.Mix
 	ContextsPerCore int     // 1, 2 (default) or 4 VM contexts per core
@@ -175,14 +158,8 @@ const (
 	maxMLPWindow   = 1 << 20
 )
 
-// fastEngine reports whether the fast datapath is selected ("" = fast).
-func (c *Config) fastEngine() bool { return c.Engine != EngineReference }
-
 // Validate rejects incoherent configurations.
 func (c *Config) Validate() error {
-	if c.Engine != "" && c.Engine != EngineFast && c.Engine != EngineReference {
-		return fmt.Errorf("sim: unknown engine %q (want %q or %q)", c.Engine, EngineFast, EngineReference)
-	}
 	if c.Cores <= 0 {
 		return fmt.Errorf("sim: cores must be positive, got %d", c.Cores)
 	}

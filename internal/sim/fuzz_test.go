@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
-	"github.com/csalt-sim/csalt/internal/cache"
-	"github.com/csalt-sim/csalt/internal/core"
 	"github.com/csalt-sim/csalt/internal/workload"
 )
 
@@ -56,53 +53,6 @@ func FuzzConfigValidate(f *testing.F) {
 		// The products downstream code forms must not overflow.
 		if total := cfg.MaxRefsPerCore * uint64(cfg.Cores); total/uint64(cfg.Cores) != cfg.MaxRefsPerCore {
 			t.Fatalf("accepted config overflows MaxRefsPerCore*Cores: %d * %d", cfg.MaxRefsPerCore, cfg.Cores)
-		}
-	})
-}
-
-// FuzzEngineEquivalence drives randomly-shaped (but valid) configurations
-// through both simulation engines and fails on any divergence between the
-// final metrics-registry snapshots. Where the curated matrix in
-// equivalence_test.go covers the shapes we thought of, the fuzzer hunts
-// the interaction we did not: every byte of the snapshot — counter
-// totals, eviction-order-dependent hit rates, float metrics — must agree.
-func FuzzEngineEquivalence(f *testing.F) {
-	f.Add(uint8(3), uint8(5), uint8(2), uint8(1), uint8(0), uint8(0), uint8(0), false, false, uint16(60), uint64(1))
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(2), uint8(1), uint8(2), uint8(1), true, false, uint16(120), uint64(7))
-	f.Add(uint8(2), uint8(4), uint8(4), uint8(2), uint8(2), uint8(3), uint8(2), false, true, uint16(90), uint64(42))
-	f.Fuzz(func(t *testing.T, vm1, vm2, contexts, cores, orgPick, schemePick, policyPick uint8,
-		dip, native bool, scale uint16, seed uint64) {
-		benches := workload.All()
-		cfg := tinyConfig()
-		cfg.Mix = workload.Mix{
-			ID:  "fuzz",
-			VM1: benches[int(vm1)%len(benches)],
-			VM2: benches[int(vm2)%len(benches)],
-		}
-		cfg.ContextsPerCore = []int{1, 2, 4}[int(contexts)%3]
-		cfg.Cores = 1 + int(cores)%2
-		cfg.Org = []TranslationOrg{OrgConventional, OrgPOM, OrgTSB}[int(orgPick)%3]
-		cfg.Scheme = []core.Scheme{core.None, core.Static, core.Dynamic, core.CriticalityDynamic}[int(schemePick)%4]
-		cfg.Policy = []cache.PolicyKind{cache.PolicyLRU, cache.PolicyNRU, cache.PolicyBTPLRU}[int(policyPick)%3]
-		cfg.DIP = dip
-		cfg.Virtualized = !native
-		cfg.Seed = seed
-		// Footprint 0.02x-0.15x and a short run keep one input under ~200ms.
-		cfg.Scale = 0.02 + float64(scale%128)/1000
-		cfg.MaxRefsPerCore = 6_000
-		cfg.WarmupRefs = 1_000
-		if err := cfg.Validate(); err != nil {
-			t.Skip()
-		}
-		fastDigest, fastRes := engineRun(t, cfg, EngineFast)
-		refDigest, refRes := engineRun(t, cfg, EngineReference)
-		if fastDigest != refDigest {
-			t.Errorf("metrics digest diverged for %+v:\n  fast      %s\n  reference %s",
-				cfg, fastDigest, refDigest)
-		}
-		if !bytes.Equal(fastRes, refRes) {
-			t.Errorf("Results diverged for %+v:\n  fast      %s\n  reference %s",
-				cfg, fastRes, refRes)
 		}
 	})
 }

@@ -2,83 +2,11 @@ package sim
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"testing"
 
 	"github.com/csalt-sim/csalt/internal/introspect"
 	"github.com/csalt-sim/csalt/internal/obs"
 )
-
-// Cross-engine attribution equivalence: the attribution plane observes
-// shared wrapper code with identical decoded values in both engines, so
-// the full attribution report — per-cause miss counts, cycle buckets,
-// the damage ledger, phase boundaries — must be byte-identical between
-// the fast and reference engines, on top of the existing digest/Results
-// equivalence. Conservation is armed too: every probe is cross-checked
-// against the component counters it mirrors at the end of each run.
-
-// introspectRun plays cfg under the named engine with a metrics registry,
-// an attribution plane and invariant checks all attached, returning the
-// registry digest, the JSON-encoded Results and the attribution report.
-func introspectRun(t *testing.T, cfg Config, engine string) (digest string, results, report []byte) {
-	t.Helper()
-	cfg.Engine = engine
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatalf("engine %q: %v", engine, err)
-	}
-	reg := obs.NewRegistry()
-	sys.AttachObserver(&obs.Observer{Registry: reg})
-	sys.AttachIntrospection(introspect.NewPlane(introspect.Config{Cores: cfg.Cores}))
-	sys.EnableInvariantChecks(0)
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatalf("engine %q: %v", engine, err)
-	}
-	snap, err := json.Marshal(reg.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(snap)
-	rj, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := json.Marshal(sys.Introspection().Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hex.EncodeToString(sum[:]), rj, rep
-}
-
-// TestEngineAttributionEquivalence sweeps the engine-equivalence matrix
-// with the attribution plane attached: digests (now including live
-// introspect.* counters), Results and the full attribution report must
-// agree bit for bit between engines, with every attribution conservation
-// law checked at end of run.
-func TestEngineAttributionEquivalence(t *testing.T) {
-	for name, mutate := range equivalenceMatrix() {
-		t.Run(name, func(t *testing.T) {
-			cfg := tinyConfig()
-			if mutate != nil {
-				mutate(&cfg)
-			}
-			fastDigest, fastRes, fastRep := introspectRun(t, cfg, EngineFast)
-			refDigest, refRes, refRep := introspectRun(t, cfg, EngineReference)
-			if fastDigest != refDigest {
-				t.Errorf("metrics digest diverged:\n  fast      %s\n  reference %s", fastDigest, refDigest)
-			}
-			if !bytes.Equal(fastRes, refRes) {
-				t.Errorf("Results diverged:\n  fast      %s\n  reference %s", fastRes, refRes)
-			}
-			if !bytes.Equal(fastRep, refRep) {
-				t.Errorf("attribution report diverged:\n  fast      %s\n  reference %s", fastRep, refRep)
-			}
-		})
-	}
-}
 
 // TestIntrospectionPassive proves attribution is read-only: a run with
 // the plane attached produces the exact same metrics digest and Results
@@ -86,39 +14,26 @@ func TestEngineAttributionEquivalence(t *testing.T) {
 // registry carries only component metrics and the digests are
 // comparable.
 func TestIntrospectionPassive(t *testing.T) {
-	for _, engine := range []string{EngineFast, EngineReference} {
-		t.Run(engine, func(t *testing.T) {
-			cfg := tinyConfig()
-			cfg.ContextsPerCore = 4
-			cfg.SwitchIntervalCycles = 10_000
-			bareDigest, bareRes := engineRun(t, cfg, engine)
+	cfg := tinyConfig()
+	cfg.ContextsPerCore = 4
+	cfg.SwitchIntervalCycles = 10_000
+	bareDigest, bareRes := digestRun(t, cfg)
 
-			cfg.Engine = engine
-			sys := MustNew(cfg)
-			sys.AttachIntrospection(introspect.NewPlane(introspect.Config{Cores: cfg.Cores}))
-			reg := obs.NewRegistry()
-			sys.AttachObserver(&obs.Observer{Registry: reg})
-			sys.EnableInvariantChecks(0)
-			res, err := sys.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap, err := json.Marshal(reg.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(snap)
-			if d := hex.EncodeToString(sum[:]); d != bareDigest {
-				t.Errorf("attaching introspection changed the metrics digest:\n  bare     %s\n  attached %s", bareDigest, d)
-			}
-			rj, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rj, bareRes) {
-				t.Errorf("attaching introspection changed Results:\n  bare     %s\n  attached %s", bareRes, rj)
-			}
-		})
+	sys := MustNew(cfg)
+	sys.AttachIntrospection(introspect.NewPlane(introspect.Config{Cores: cfg.Cores}))
+	reg := obs.NewRegistry()
+	sys.AttachObserver(&obs.Observer{Registry: reg})
+	sys.EnableInvariantChecks(0)
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, rj := digestOf(t, reg, res)
+	if digest != bareDigest {
+		t.Errorf("attaching introspection changed the metrics digest:\n  bare     %s\n  attached %s", bareDigest, digest)
+	}
+	if !bytes.Equal(rj, bareRes) {
+		t.Errorf("attaching introspection changed Results:\n  bare     %s\n  attached %s", bareRes, rj)
 	}
 }
 

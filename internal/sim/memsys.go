@@ -71,7 +71,7 @@ type memSystem struct {
 	vms map[mem.ASID]*vmState
 	// vmByASID is the hot-path index over vms: ASIDs are small dense
 	// integers, so the per-reference VM resolution in Translate is an array
-	// load instead of a map lookup. Maintained by addVM for both engines.
+	// load instead of a map lookup. Maintained by addVM.
 	vmByASID []*vmState
 
 	hostA *mem.FrameAllocator
@@ -113,11 +113,10 @@ func newMemSystem(cfg Config) (*memSystem, error) {
 	}
 
 	profiled := cfg.Scheme == core.Dynamic || cfg.Scheme == core.CriticalityDynamic
-	flat := cfg.fastEngine()
 	for i := 0; i < cfg.Cores; i++ {
 		l1, err := cache.New(cache.Config{
 			Name: fmt.Sprintf("l1d%d", i), SizeKB: 32, Ways: 8, Latency: 4,
-			Policy: cache.PolicyLRU, Flat: flat,
+			Policy: cache.PolicyLRU,
 		})
 		if err != nil {
 			return nil, err
@@ -128,7 +127,6 @@ func newMemSystem(cfg Config) (*memSystem, error) {
 			Name: fmt.Sprintf("l2d%d", i), SizeKB: 256, Ways: 4, Latency: 12,
 			Policy: cfg.Policy, Profiled: profiled,
 			InlineProfiler: cfg.InlineProfiler, ProfilerSampleShift: 3,
-			Flat: flat,
 		})
 		if err != nil {
 			return nil, err
@@ -137,18 +135,15 @@ func newMemSystem(cfg Config) (*memSystem, error) {
 
 		m.l1tlb = append(m.l1tlb, tlb.MustNew(tlb.Config{
 			Name: fmt.Sprintf("l1tlb%d", i), Entries: 64, Ways: 4, Latency: 9,
-			Flat: flat,
 		}))
 		m.l1tlb2 = append(m.l1tlb2, tlb.MustNew(tlb.Config{
 			Name: fmt.Sprintf("l1tlb2m%d", i), Entries: 32, Ways: 4, Latency: 9,
-			Flat: flat,
 		}))
 		if cfg.SharedL2TLB && i > 0 {
 			m.l2tlb = append(m.l2tlb, m.l2tlb[0])
 		} else {
 			m.l2tlb = append(m.l2tlb, tlb.MustNew(tlb.Config{
 				Name: fmt.Sprintf("l2tlb%d", i), Entries: 1536, Ways: 12, Latency: 17,
-				Flat: flat,
 			}))
 		}
 	}
@@ -156,7 +151,6 @@ func newMemSystem(cfg Config) (*memSystem, error) {
 		Name: "l3", SizeKB: 8192, Ways: 16, Latency: 42,
 		Policy: cfg.Policy, Profiled: profiled,
 		InlineProfiler: cfg.InlineProfiler, ProfilerSampleShift: 5,
-		Flat: flat,
 	})
 	if err != nil {
 		return nil, err
@@ -201,12 +195,7 @@ func newMemSystem(cfg Config) (*memSystem, error) {
 	}
 
 	if cfg.Org == OrgPOM {
-		if flat {
-			m.pom, err = tlb.NewPOMFlat(pomBase, uint64(cfg.POMSizeMB)<<20)
-		} else {
-			m.pom, err = tlb.NewPOM(pomBase, uint64(cfg.POMSizeMB)<<20)
-		}
-		if err != nil {
+		if m.pom, err = tlb.NewPOM(pomBase, uint64(cfg.POMSizeMB)<<20); err != nil {
 			return nil, err
 		}
 	}
@@ -306,8 +295,8 @@ func (m *memSystem) route(addr mem.PAddr) *dram.DRAM {
 // from Access after the target cache reported a miss (or MarkDirty found
 // nothing), and nothing touches that cache between the probe and the fill —
 // lookups and fills in between hit other levels, and victim writebacks only
-// flow downward. The absence proof lets the flat layout skip the refresh
-// scan; the equivalence suite cross-checks it against the reference engine.
+// flow downward. The absence proof lets the fill skip the refresh scan; the
+// invariants build verifies every proof (see cache.FillMissed).
 func (m *memSystem) fillL2(coreID int, addr mem.PAddr, typ cache.LineType, dirty bool) {
 	l2 := m.l2[coreID]
 	var wb cache.Writeback

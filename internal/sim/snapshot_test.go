@@ -16,8 +16,7 @@ import (
 
 // The snapshot/restore contract: kill a run at any poll boundary, restore
 // from the snapshot, run to completion — and the metrics-registry digest
-// and Results JSON are byte-identical to the uninterrupted run, under both
-// engines. These tests enforce it end to end through the codec (snapshots
+// and Results JSON are byte-identical to the uninterrupted run. These tests enforce it end to end through the codec (snapshots
 // round-trip through EncodeToBytes/Decode, not just in-memory state).
 
 // memSink collects encoded snapshots in memory, optionally requesting a
@@ -46,8 +45,8 @@ func (k *memSink) WriteSnapshot(st *snapshot.State, steps uint64) error {
 	return nil
 }
 
-// digestOf reproduces the equivalence harness's observables: the sha256 of
-// the final registry snapshot and the JSON-encoded Results.
+// digestOf computes the pinned-digest observables: the sha256 of the final
+// registry snapshot and the JSON-encoded Results.
 func digestOf(t *testing.T, reg *obs.Registry, res *Results) (string, []byte) {
 	t.Helper()
 	snap, err := json.Marshal(reg.Snapshot())
@@ -106,41 +105,36 @@ func snapshottingRun(t *testing.T, cfg Config, every uint64, stopAfter int) (*me
 	return sink, digest, rj, nil
 }
 
-// TestSnapshotResumeByteIdentical is the tentpole contract, swept over
-// both engines: restore from the first, a middle and the last periodic
-// snapshot, and every resumed run must reproduce the uninterrupted run's
-// registry digest and Results bytes exactly.
+// TestSnapshotResumeByteIdentical is the tentpole contract: restore from
+// the first, a middle and the last periodic snapshot, and every resumed run
+// must reproduce the uninterrupted run's registry digest and Results bytes
+// exactly.
 func TestSnapshotResumeByteIdentical(t *testing.T) {
-	for _, engine := range []string{EngineFast, EngineReference} {
-		t.Run(engine, func(t *testing.T) {
-			cfg := tinyConfig()
-			wantDigest, wantRes := engineRun(t, cfg, engine)
+	cfg := tinyConfig()
+	wantDigest, wantRes := digestRun(t, cfg)
 
-			cfg.Engine = engine
-			sink, digest, rj, err := snapshottingRun(t, cfg, 3_000, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if digest != wantDigest {
-				t.Fatalf("snapshotting perturbed the run:\n  with    %s\n  without %s", digest, wantDigest)
-			}
-			if !bytes.Equal(rj, wantRes) {
-				t.Fatalf("snapshotting perturbed Results:\n  with    %s\n  without %s", rj, wantRes)
-			}
-			if len(sink.blobs) < 3 {
-				t.Fatalf("expected >= 3 periodic snapshots, got %d", len(sink.blobs))
-			}
+	sink, digest, rj, err := snapshottingRun(t, cfg, 3_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest != wantDigest {
+		t.Fatalf("snapshotting perturbed the run:\n  with    %s\n  without %s", digest, wantDigest)
+	}
+	if !bytes.Equal(rj, wantRes) {
+		t.Fatalf("snapshotting perturbed Results:\n  with    %s\n  without %s", rj, wantRes)
+	}
+	if len(sink.blobs) < 3 {
+		t.Fatalf("expected >= 3 periodic snapshots, got %d", len(sink.blobs))
+	}
 
-			for _, i := range []int{0, len(sink.blobs) / 2, len(sink.blobs) - 1} {
-				gotDigest, gotRes := resumeRun(t, cfg, sink.blobs[i])
-				if gotDigest != wantDigest {
-					t.Errorf("snapshot %d: resumed digest diverged:\n  resumed       %s\n  uninterrupted %s", i, gotDigest, wantDigest)
-				}
-				if !bytes.Equal(gotRes, wantRes) {
-					t.Errorf("snapshot %d: resumed Results diverged:\n  resumed       %s\n  uninterrupted %s", i, gotRes, wantRes)
-				}
-			}
-		})
+	for _, i := range []int{0, len(sink.blobs) / 2, len(sink.blobs) - 1} {
+		gotDigest, gotRes := resumeRun(t, cfg, sink.blobs[i])
+		if gotDigest != wantDigest {
+			t.Errorf("snapshot %d: resumed digest diverged:\n  resumed       %s\n  uninterrupted %s", i, gotDigest, wantDigest)
+		}
+		if !bytes.Equal(gotRes, wantRes) {
+			t.Errorf("snapshot %d: resumed Results diverged:\n  resumed       %s\n  uninterrupted %s", i, gotRes, wantRes)
+		}
 	}
 }
 
@@ -150,9 +144,8 @@ func TestSnapshotResumeByteIdentical(t *testing.T) {
 // reproduces the uninterrupted run bit for bit.
 func TestSnapshotDrainStopResume(t *testing.T) {
 	cfg := tinyConfig()
-	wantDigest, wantRes := engineRun(t, cfg, EngineFast)
+	wantDigest, wantRes := digestRun(t, cfg)
 
-	cfg.Engine = EngineFast
 	sink, _, _, err := snapshottingRun(t, cfg, 3_000, 3)
 	if !errors.Is(err, ErrSnapshotStop) {
 		t.Fatalf("want ErrSnapshotStop, got %v", err)
@@ -169,10 +162,9 @@ func TestSnapshotDrainStopResume(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeMatrix runs the resume contract across the same
-// configuration matrix the engine-equivalence suite sweeps (every
-// translation org, partitioning scheme, policy and paging mode), fast
-// engine, resuming from the middle snapshot.
+// TestSnapshotResumeMatrix runs the resume contract across the
+// engine-equivalence matrix (every translation org, partitioning scheme, policy and
+// paging mode), resuming from the middle snapshot.
 func TestSnapshotResumeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full equivalence-matrix resume sweep")
@@ -183,8 +175,7 @@ func TestSnapshotResumeMatrix(t *testing.T) {
 			if mutate != nil {
 				mutate(&cfg)
 			}
-			wantDigest, wantRes := engineRun(t, cfg, EngineFast)
-			cfg.Engine = EngineFast
+			wantDigest, wantRes := digestRun(t, cfg)
 			sink, _, _, err := snapshottingRun(t, cfg, 3_000, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -226,8 +217,9 @@ func TestSnapshotEncodeStable(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreRejectsMismatch: a tampered snapshot must fail the
-// restore verification rather than silently resume divergent state.
+// TestSnapshotRestoreRejectsMismatch: a tampered snapshot — or one whose
+// structure geometry does not match the machine — must fail the restore
+// verification rather than silently resume divergent state.
 func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NoPrewarm = true // ensures the fault log is non-trivial
@@ -248,6 +240,9 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 		"fault_dup":      func(st *snapshot.State) { st.Faults = append(st.Faults, st.Faults[0]) },
 		"core_count":     func(st *snapshot.State) { st.Cores = st.Cores[:1] },
 		"touched_pages":  func(st *snapshot.State) { st.VMs[0].TouchedPages++ },
+		"pom_geometry":   func(st *snapshot.State) { st.Mem.POM.FW = st.Mem.POM.FW[:len(st.Mem.POM.FW)/2] },
+		"tlb_geometry":   func(st *snapshot.State) { st.Mem.L2TLB[0].KM = st.Mem.L2TLB[0].KM[1:] },
+		"cache_geometry": func(st *snapshot.State) { st.Mem.L3.Words = append(st.Mem.L3.Words, 0) },
 	}
 	for name, tamper := range tampers {
 		t.Run(name, func(t *testing.T) {
@@ -257,27 +252,6 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 				t.Fatal("tampered snapshot restored without error")
 			}
 		})
-	}
-}
-
-// TestSnapshotEngineMismatchRejected: a fast-engine snapshot must not
-// restore into a reference-engine system (the layouts differ; the config
-// key normally pins this, but the state-level check must hold too).
-func TestSnapshotEngineMismatchRejected(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Engine = EngineFast
-	sink, _, _, err := snapshottingRun(t, cfg, 3_000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := snapshot.Decode(bytes.NewReader(sink.blobs[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCfg := cfg
-	refCfg.Engine = EngineReference
-	if _, err := RestoreSystem(refCfg, st); err == nil {
-		t.Fatal("fast-engine snapshot restored into reference engine")
 	}
 }
 

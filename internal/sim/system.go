@@ -94,9 +94,6 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: building VM %d: %w", i+1, err)
 		}
-		if cfg.fastEngine() {
-			vm.enableFastPresence()
-		}
 		if err := ms.addVM(vm); err != nil {
 			return nil, err
 		}
@@ -200,7 +197,7 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 			break
 		}
 		// Batch: other cores' clocks cannot advance while next is stepped,
-		// so next stays the reference schedule's pick — no re-scan needed —
+		// so next stays a fresh scan's pick — no re-scan needed —
 		// until its clock passes the best other core (or reaches it with a
 		// higher index, which would lose the tie).
 		minOther := ^uint64(0)

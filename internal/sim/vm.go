@@ -47,24 +47,14 @@ type vmState struct {
 	ept4K     bool // fragmented host: 4 KB EPT mappings
 
 	// present caches which mapping granules are already installed, so the
-	// fast engine's per-reference mapped-check is one open-addressing probe
-	// instead of a full radix page-table walk through Go maps. Nil under
-	// the reference engine. presentShift is the granule: 2 MB for native
-	// huge-page VMs (one mapping covers the whole granule), 4 KB otherwise.
+	// per-reference mapped-check is one open-addressing probe instead of a
+	// full radix page-table walk through Go maps. presentShift is the
+	// granule: 2 MB for native huge-page VMs (one mapping covers the whole
+	// granule), 4 KB otherwise.
 	present      *pageSet
 	presentShift uint
 
 	touchedPages uint64
-}
-
-// enableFastPresence switches the VM to the fast engine's mapped-check.
-// Call before any ensureMapped traffic.
-func (vm *vmState) enableFastPresence() {
-	vm.presentShift = mem.PageShift4K
-	if vm.hugePages && !vm.space.Virtualized() {
-		vm.presentShift = mem.PageShift2M
-	}
-	vm.present = newPageSet()
 }
 
 // pageSet is a grow-on-demand open-addressing hash set of uint64 keys with
@@ -140,8 +130,12 @@ func (s *pageSet) grow() {
 func newVM(asid mem.ASID, bench workload.Name, virtualized bool, levels int,
 	hostA *mem.FrameAllocator, hugePages, ept4K bool) (*vmState, error) {
 
-	vm := &vmState{asid: asid, bench: bench, hostA: hostA, hugePages: hugePages, ept4K: ept4K}
+	vm := &vmState{asid: asid, bench: bench, hostA: hostA, hugePages: hugePages, ept4K: ept4K,
+		present: newPageSet(), presentShift: mem.PageShift4K}
 	if !virtualized {
+		if hugePages {
+			vm.presentShift = mem.PageShift2M
+		}
 		guest, err := pagetable.New(hostA, levels)
 		if err != nil {
 			return nil, err
@@ -182,24 +176,23 @@ func newVM(asid mem.ASID, bench workload.Name, virtualized bool, levels int,
 // touch: a soft page fault whose OS cost, like the paper's, is not charged
 // to the pipeline. Returns true if a new page was mapped.
 //
-// Under the fast engine the presence set answers the (overwhelmingly
-// common) already-mapped case in O(1); a set miss falls through to the
-// reference path, whose outcome is then recorded. Behaviour is identical:
-// the set only short-circuits the pure "is it mapped" radix-table check.
+// The presence set answers the (overwhelmingly common) already-mapped case
+// in O(1); a set miss falls through to ensureMappedSlow, whose outcome is
+// then recorded. The set only short-circuits the pure "is it mapped"
+// radix-table check.
 func (vm *vmState) ensureMapped(v mem.VAddr) (bool, error) {
-	if vm.present != nil {
-		if vm.present.has(uint64(v) >> vm.presentShift) {
-			return false, nil
-		}
-		created, err := vm.ensureMappedSlow(v)
-		if err == nil {
-			vm.present.add(uint64(v) >> vm.presentShift)
-		}
-		return created, err
+	if vm.present.has(uint64(v) >> vm.presentShift) {
+		return false, nil
 	}
-	return vm.ensureMappedSlow(v)
+	created, err := vm.ensureMappedSlow(v)
+	if err == nil {
+		vm.present.add(uint64(v) >> vm.presentShift)
+	}
+	return created, err
 }
 
+// ensureMappedSlow is ensureMapped's presence-set miss path: it consults
+// the page table and maps v's page if it is absent.
 func (vm *vmState) ensureMappedSlow(v mem.VAddr) (bool, error) {
 	if _, _, ok := vm.space.Guest.Lookup(v); ok {
 		return false, nil

@@ -6,7 +6,7 @@
 //
 // File format — three JSON lines:
 //
-//	{"schema":"csalt-snapshot","version":1,"key":"<config key>","seq":N,"steps":N}
+//	{"schema":"csalt-snapshot","version":2,"key":"<config key>","seq":N,"steps":N}
 //	{ ... State payload ... }
 //	{"sha256":"<hex digest of the two lines above, newlines included>"}
 //
@@ -46,7 +46,7 @@ import (
 // to a from-zero restart) instead of restoring wrong state.
 const (
 	Schema  = "csalt-snapshot"
-	Version = 1
+	Version = 2
 )
 
 // Suffix is the snapshot file extension inside a snapshot directory.

@@ -219,20 +219,24 @@ func TestBitFlipDetected(t *testing.T) {
 }
 
 // TestVersionSkewRejected: a structurally intact snapshot from another
-// schema version must fail with ErrVersion, distinct from corruption.
+// schema version — the version-1 layout that carried per-entry POM structs,
+// or a future one — must fail with ErrVersion, distinct from corruption.
 func TestVersionSkewRejected(t *testing.T) {
+	for _, v := range []int{1, Version + 1} {
+		meta := sampleMeta("skew")
+		meta.Version = v
+		blob, err := EncodeToBytes(meta, sampleState(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: err=%v, want ErrVersion", v, err)
+		}
+	}
 	meta := sampleMeta("skew")
-	meta.Version = Version + 1
+	meta.Schema = "some-other-format"
 	blob, err := EncodeToBytes(meta, sampleState(5))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version skew: err=%v, want ErrVersion", err)
-	}
-	meta = sampleMeta("skew")
-	meta.Schema = "some-other-format"
-	if blob, err = EncodeToBytes(meta, sampleState(5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {

@@ -10,10 +10,8 @@ package snapshot
 // system deterministically from its Config (page-table prewarm, POM/TSB
 // placement, allocator layout), replays the demand-fault log to reproduce
 // the shared frame-allocator sequence and page-table contents, then
-// overlays the component states below. Engine-specific layouts (the fast
-// engine's packed flat arrays vs the reference engine's entry structs) are
-// both representable; a snapshot restores into the engine that wrote it —
-// the config key in Meta pins that, since the engine is part of the config.
+// overlays the component states below. TLB, POM-TLB and cache contents are
+// the structures' packed entry and line words, copied verbatim.
 
 // State is the root payload.
 type State struct {
@@ -155,16 +153,8 @@ type GenState struct {
 	BufI     int    `json:"bufI"`
 }
 
-// TLBEntry is one reference-engine TLB/POM entry in packed key form (the
-// flat layout's km word: vpn<<18 | asid<<2 | size<<1 | valid).
-type TLBEntry struct {
-	KM    uint64 `json:"km"`
-	Frame uint64 `json:"frame"`
-	Seq   uint64 `json:"seq"`
-}
-
-// TLBState is one set-associative TLB; both engine layouts serialize to
-// the packed-word form.
+// TLBState is one set-associative TLB in packed key-word form
+// (vpn<<18 | asid<<2 | size<<1 | valid) with per-entry LRU sequences.
 type TLBState struct {
 	KM      []uint64 `json:"kmWords"`
 	Frames  []uint64 `json:"frames"`
@@ -175,17 +165,14 @@ type TLBState struct {
 	Lookups uint64   `json:"lookups"`
 }
 
-// POMState is the die-stacked POM-TLB; the two engines keep different
-// replacement metadata, so the layout is captured natively (Entries for
-// the reference engine, FW for the fast engine's packed set-stride array).
+// POMState is the die-stacked POM-TLB: its packed set-stride array (four
+// rank-tagged key words then four frames per set).
 type POMState struct {
-	Entries []TLBEntry `json:"entries,omitempty"`
-	FW      []uint64   `json:"fw,omitempty"`
-	NBySize [2]int     `json:"nBySize"`
-	Next    uint64     `json:"next"`
-	Acc     HitRate    `json:"acc"`
-	Inserts uint64     `json:"inserts"`
-	Lookups uint64     `json:"lookups"`
+	FW      []uint64 `json:"fw"`
+	NBySize [2]int   `json:"nBySize"`
+	Acc     HitRate  `json:"acc"`
+	Inserts uint64   `json:"inserts"`
+	Lookups uint64   `json:"lookups"`
 }
 
 // TSBState is one per-ASID translation storage buffer.
@@ -214,8 +201,8 @@ type ProfilerState struct {
 	ATDValid [2][]bool   `json:"atdValid"`
 }
 
-// CacheState is one cache level; lines pack into the flat layout's word
-// form (tag<<3 | typ<<2 | dirty<<1 | valid) in both engines.
+// CacheState is one cache level; lines are the cache's packed words
+// (tag<<3 | typ<<2 | dirty<<1 | valid).
 type CacheState struct {
 	Words      []uint64       `json:"words"`
 	Policy     PolicyState    `json:"policy"`

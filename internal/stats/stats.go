@@ -9,8 +9,8 @@
 // order, with no pairwise, sorted or compensated (Kahan) summation.
 // Floating-point addition is not associative, so the order is part of each
 // helper's contract: the golden experiment tables, the benchreg metrics
-// digest and the fast-vs-reference engine-equivalence suite all compare
-// results bit for bit, and a reordered accumulation produces a different
+// digest and the simulator's pinned-digest test all compare results bit
+// for bit, and a reordered accumulation produces a different
 // last bit (see order_test.go for a pinned demonstration). Changing the
 // accumulation strategy is a behaviour change that requires regenerating
 // goldens — not a refactor. Callers, in turn, must feed observations in a

@@ -6,11 +6,10 @@ import (
 	"github.com/csalt-sim/csalt/internal/mem"
 )
 
-// Benchmarks for the two entry layouts, shaped like the simulator's own
+// Benchmarks for the packed entry layouts, shaped like the simulator's own
 // traffic: a working set a few times larger than capacity, so probes see
 // the realistic mix of hits (refresh + LRU touch) and misses (victim
-// scan + insert). cmd/benchreg's go-bench pass picks these up; compare
-// flat vs reference for the layout speedup in isolation.
+// scan + insert). cmd/benchreg's go-bench pass picks these up.
 
 // xorshift is the benchmark's address scrambler — cheap enough not to
 // drown the structure under measurement.
@@ -21,8 +20,8 @@ func xorshift(x uint64) uint64 {
 	return x
 }
 
-func benchTLBLookup(b *testing.B, flat bool) {
-	tl := MustNew(Config{Name: "bench-l2tlb", Entries: 1536, Ways: 12, Latency: 9, Flat: flat})
+func BenchmarkTLBLookup(b *testing.B) {
+	tl := MustNew(Config{Name: "bench-l2tlb", Entries: 1536, Ways: 12, Latency: 9})
 	const pages = 4 * 1536 // 4x capacity: ~hit rate of a busy L2 TLB
 	for i := uint64(0); i < pages; i++ {
 		tl.Insert(mem.VAddr(i<<12), 1, mem.PAddr(i<<12), mem.Page4K)
@@ -39,17 +38,8 @@ func benchTLBLookup(b *testing.B, flat bool) {
 	}
 }
 
-func BenchmarkTLBLookup(b *testing.B) {
-	b.Run("flat", func(b *testing.B) { benchTLBLookup(b, true) })
-	b.Run("reference", func(b *testing.B) { benchTLBLookup(b, false) })
-}
-
-func benchPOMProbe(b *testing.B, flat bool) {
-	mk := NewPOM
-	if flat {
-		mk = NewPOMFlat
-	}
-	p, err := mk(0x4000_0000, 4<<20) // 4 MB of POM lines
+func BenchmarkPOMProbe(b *testing.B) {
+	p, err := NewPOM(0x4000_0000, 4<<20) // 4 MB of POM lines
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,9 +57,4 @@ func benchPOMProbe(b *testing.B, flat bool) {
 			p.Insert(v, 1, mem.PAddr(uint64(v)))
 		}
 	}
-}
-
-func BenchmarkPOMProbe(b *testing.B) {
-	b.Run("flat", func(b *testing.B) { benchPOMProbe(b, true) })
-	b.Run("reference", func(b *testing.B) { benchPOMProbe(b, false) })
 }

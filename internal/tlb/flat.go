@@ -4,30 +4,29 @@ import (
 	"github.com/csalt-sim/csalt/internal/mem"
 )
 
-// Flat packed layouts for the TLB and POM-TLB, used by the fast simulation
-// engine (sim.Config.Engine == "fast").
+// Packed entry layouts for the TLB and POM-TLB.
 //
-// The array-of-structs layout (entry) spreads each entry's tag fields over
-// ~48 bytes, so a 12-way probe walks nine cache lines of host memory. The
-// flat TLB layout packs the whole comparison key into one uint64:
+// A struct per entry would spread each entry's tag fields over ~48 bytes,
+// so a 12-way probe would walk nine cache lines of host memory. The TLB
+// layout instead packs the whole comparison key into one uint64:
 //
 //	km = vpn<<18 | asid<<2 | size<<1 | valid
 //
 // so a probe is one 64-bit load and compare per way. The packing bounds the
 // virtual page number to 46 bits — virtual addresses below 2^58 — which
 // covers the simulator's entire guest-virtual layout (thread bases top out
-// near 2^41) with sixteen orders of magnitude to spare; the constructors of
-// both layouts reject nothing, but the flat insert/probe paths panic loudly
-// if the bound is ever violated rather than aliasing tags. LRU sequence
-// numbers stay in a parallel array: TLB sets are small and host-cache hot,
-// so the extra line is free.
+// near 2^41) with sixteen orders of magnitude to spare; the constructors
+// reject nothing, but the insert/probe paths panic loudly if the bound is
+// ever violated rather than aliasing tags. LRU sequence numbers stay in a
+// parallel array: TLB sets are small and host-cache hot, so the extra line
+// is free.
 //
 // Per-page-size valid-entry counts let a lookup skip the probe of a size
 // class the structure holds no entries of — the common case for 2 MB
 // entries outside huge-page mode — without changing any hit/miss accounting
 // (a skipped probe could only have missed).
 //
-// The POM-TLB gets its own, denser layout (see "POM flat paths" below): its
+// The POM-TLB gets its own, denser layout (see "POM layout" below): its
 // tag state is tens of megabytes and randomly probed, so the goal there is
 // to touch exactly one host cache line per probe. Each set packs its four
 // entries' keys and frames into 64 contiguous bytes:
@@ -35,19 +34,17 @@ import (
 //	fw[set*8+0 .. +3] — km words: vpn<<24 | asid<<8 | rank<<2 | size<<1 | valid
 //	fw[set*8+4 .. +7] — frames
 //
-// The two-bit rank field replaces the reference layout's global LRU
-// sequence numbers: ranks within a set are maintained in exact
-// least-recently-touched order (3 = MRU), which selects the same victim as
-// "lowest global sequence number" — only relative recency within a set is
-// ever compared. Updating ranks rewrites words in the line the probe just
-// loaded, so a POM probe costs one host cache line instead of the four the
-// struct-of-arrays layout touched. POM vpns are bounded to 40 bits (virtual
+// The two-bit rank field replaces global LRU sequence numbers: ranks
+// within a set are maintained in exact least-recently-touched order
+// (3 = MRU), which selects the same victim as "lowest global sequence
+// number" — only relative recency within a set is ever compared. Updating
+// ranks rewrites words in the line the probe just loaded, so a POM probe
+// costs one host cache line. POM vpns are bounded to 40 bits (virtual
 // addresses below 2^52), enforced the same way.
 //
-// The semantics (match condition, LRU victim choice, refresh behaviour,
-// counter increments, tracer events) mirror the reference layout exactly;
-// the differential equivalence suite in internal/sim asserts bit-identical
-// metrics.
+// Test-only models with plain per-entry structs and global sequence
+// numbers (model_test.go) are fuzzed against these layouts: return values,
+// counters and the saved state must agree operation for operation.
 
 // Packed TLB key-word fields.
 const (
@@ -61,7 +58,7 @@ const (
 // packKM builds the packed comparison word for a valid TLB entry.
 func packKM(vpn uint64, asid mem.ASID, size mem.PageSize) uint64 {
 	if vpn >= kmVPNLimit {
-		panic("tlb: flat layout supports virtual addresses below 2^58")
+		panic("tlb: packed layout supports virtual addresses below 2^58")
 	}
 	return vpn<<kmVPNSh | uint64(asid)<<kmASIDSh | uint64(size)<<kmSizeSh | kmValid
 }
@@ -98,9 +95,8 @@ func (f *flatState) probe(want uint64, base, ways int, next *uint64) (mem.PAddr,
 	return 0, false
 }
 
-// insert installs want->frame in ways [base, base+ways), mirroring the
-// reference Insert: refresh on an exact match, else the first invalid way,
-// else the lowest-seq (LRU) way. refreshed reports that an existing entry
+// insert installs want->frame in ways [base, base+ways): refresh on an
+// exact match, else the first invalid way, else the lowest-seq (LRU) way. refreshed reports that an existing entry
 // was updated in place (no insertion happened); otherwise evictKM is the
 // displaced entry's key word when a valid entry for a different page was
 // displaced (0 if the victim way was invalid).
@@ -133,67 +129,7 @@ func (f *flatState) insert(want uint64, frame mem.PAddr, base, ways int, next *u
 	return evictKM, false
 }
 
-// --- TLB flat paths -------------------------------------------------------
-
-func (t *TLB) lookupFlat(v mem.VAddr, asid mem.ASID) (mem.PAddr, mem.PageSize, bool) {
-	if t.fs.nBySize[mem.Page4K] > 0 {
-		vpn := mem.PageNumber(v, mem.Page4K)
-		want := packKM(vpn, asid, mem.Page4K)
-		if frame, ok := t.fs.probe(want, t.set(vpn)*t.ways, t.ways, &t.next); ok {
-			t.Accesses.Hit()
-			t.introspectHit(v, asid, mem.Page4K)
-			return frame, mem.Page4K, true
-		}
-	}
-	if t.fs.nBySize[mem.Page2M] > 0 {
-		vpn := mem.PageNumber(v, mem.Page2M)
-		want := packKM(vpn, asid, mem.Page2M)
-		if frame, ok := t.fs.probe(want, t.set(vpn)*t.ways, t.ways, &t.next); ok {
-			t.Accesses.Hit()
-			t.introspectHit(v, asid, mem.Page2M)
-			return frame, mem.Page2M, true
-		}
-	}
-	t.Accesses.Miss()
-	t.introspectMiss(v, asid)
-	return 0, 0, false
-}
-
-func (t *TLB) insertFlat(v mem.VAddr, asid mem.ASID, frame mem.PAddr, size mem.PageSize) {
-	vpn := mem.PageNumber(v, size)
-	want := packKM(vpn, asid, size)
-	evictKM, refreshed := t.fs.insert(want, frame, t.set(vpn)*t.ways, t.ways, &t.next)
-	if t.ip == nil || refreshed {
-		return
-	}
-	if evictKM != 0 {
-		t.ip.Evict(t.set(vpn), evictKM, uint64(asid))
-	}
-	t.ip.Fill(t.set(vpn), want, uint64(asid))
-}
-
-func (t *TLB) flushASIDFlat(asid mem.ASID) {
-	match := uint64(asid)<<kmASIDSh | kmValid
-	const mask = uint64(0xFFFF)<<kmASIDSh | kmValid
-	for i, km := range t.fs.km {
-		if km&mask == match {
-			t.fs.km[i] = 0
-			t.fs.nBySize[(km>>kmSizeSh)&1]--
-		}
-	}
-}
-
-func (t *TLB) occupancyByASIDFlat() map[mem.ASID]int {
-	out := make(map[mem.ASID]int)
-	for _, km := range t.fs.km {
-		if km&kmValid != 0 {
-			out[mem.ASID(km>>kmASIDSh)]++
-		}
-	}
-	return out
-}
-
-// --- POM flat paths -------------------------------------------------------
+// --- POM layout -----------------------------------------------------------
 
 // Packed POM word fields. One set is EntriesPerLine km words followed by
 // EntriesPerLine frame words: 64 bytes, one host cache line.
@@ -213,15 +149,15 @@ const (
 // packPOM builds the packed key word (rank zero) for a valid POM entry.
 func packPOM(vpn uint64, asid mem.ASID, size mem.PageSize) uint64 {
 	if vpn >= pomVPNLimit {
-		panic("tlb: flat POM layout supports virtual addresses below 2^52")
+		panic("tlb: packed POM layout supports virtual addresses below 2^52")
 	}
 	return vpn<<pomVPNSh | uint64(asid)<<pomASIDSh | uint64(size)<<pomSizeSh | pomValid
 }
 
 // pomTouch promotes way w to MRU rank, demoting the ways more recent than
 // it by one — the permutation update that keeps ranks in exact
-// least-recently-touched order, matching the reference layout's global
-// sequence numbers for every within-set comparison.
+// least-recently-touched order, agreeing with global sequence numbers for
+// every within-set comparison.
 func pomTouch(kms []uint64, w int) {
 	old := kms[w] & pomRankMask
 	for x := range kms {
@@ -230,68 +166,4 @@ func pomTouch(kms []uint64, w int) {
 		}
 	}
 	kms[w] = kms[w]&^pomRankMask | pomMRU
-}
-
-func (p *POM) probeFlat(v mem.VAddr, asid mem.ASID, size mem.PageSize) (mem.PAddr, bool) {
-	if p.nBySize[size&1] == 0 {
-		return 0, false
-	}
-	vpn := mem.PageNumber(v, size)
-	want := packPOM(vpn, asid, size)
-	base := int(p.setOf(vpn, asid, size)) * pomSetStride
-	kms := p.fw[base : base+EntriesPerLine]
-	for w := range kms {
-		if kms[w]&^pomRankMask == want {
-			pomTouch(kms, w)
-			return mem.PAddr(p.fw[base+EntriesPerLine+w]), true
-		}
-	}
-	return 0, false
-}
-
-func (p *POM) insertFlat(now uint64, v mem.VAddr, asid mem.ASID, frame mem.PAddr, size mem.PageSize) {
-	vpn := mem.PageNumber(v, size)
-	want := packPOM(vpn, asid, size)
-	base := int(p.setOf(vpn, asid, size)) * pomSetStride
-	kms := p.fw[base : base+EntriesPerLine]
-	victim := 0
-	for w := range kms {
-		if kms[w]&^pomRankMask == want {
-			// Refresh: update the frame and recency; no counters, no events.
-			p.fw[base+EntriesPerLine+w] = uint64(frame)
-			pomTouch(kms, w)
-			return
-		}
-		if kms[w]&pomValid == 0 {
-			victim = w
-			break
-		}
-		// All ways valid so far: remember the LRU (rank-0) way. Rank order
-		// equals ascending global seq order, so this picks the same victim
-		// as the reference scan.
-		if kms[w]&pomRankMask == 0 {
-			victim = w
-		}
-	}
-	if ev := kms[victim]; ev&pomValid != 0 {
-		p.tr.POMEvict(now, (ev>>pomASIDSh)&0xFFFF, ev>>pomVPNSh)
-		p.nBySize[(ev>>pomSizeSh)&1]--
-		if p.ip != nil {
-			p.ip.Evict(base/pomSetStride, ev&^pomRankMask, uint64(asid))
-		}
-	}
-	kms[victim] = want
-	p.fw[base+EntriesPerLine+victim] = uint64(frame)
-	pomTouch(kms, victim)
-	p.nBySize[size&1]++
-	p.Inserts.Inc()
-	p.tr.POMFill(now, uint64(asid), vpn)
-	if p.ip != nil {
-		p.ip.Fill(base/pomSetStride, want, uint64(asid))
-	}
-}
-
-func (p *POM) utilizationFlat() float64 {
-	valid := p.nBySize[0] + p.nBySize[1]
-	return float64(valid) / float64(int(p.sets)*p.ways)
 }

@@ -24,11 +24,8 @@ type POM struct {
 	sizeB    uint64
 	sets     uint64
 	ways     int
-	entries  []entry  // reference layout (nil in flat mode)
-	fw       []uint64 // packed one-line-per-set flat layout (nil in reference mode)
-	nBySize  [2]int   // flat mode: valid entries per page size
-	flat     bool
-	next     uint64
+	fw       []uint64 // packed one-line-per-set layout (see flat.go)
+	nBySize  [2]int   // valid entries per page size
 	hashSeed uint64
 
 	// tr receives fill/evict events; nil keeps the insert path silent.
@@ -49,8 +46,8 @@ func (p *POM) SetTrace(t *obs.Tracer) { p.tr = t }
 // Sets returns the number of sets (lines).
 func (p *POM) Sets() int { return int(p.sets) }
 
-// SetIntrospect attaches an attribution probe; both entry layouts feed
-// it identical decoded keys, so attribution is engine-invariant.
+// SetIntrospect attaches an attribution probe, keyed by the packed entry
+// words (rank bits cleared).
 func (p *POM) SetIntrospect(pr *introspect.Probe) { p.ip = pr }
 
 // introspectLookup records one probe outcome. Misses are keyed at 4 KB
@@ -98,36 +95,14 @@ func NewPOM(base mem.PAddr, sizeBytes uint64) (*POM, error) {
 		sizeB:    sizeBytes,
 		sets:     sets,
 		ways:     EntriesPerLine,
-		entries:  make([]entry, sets*EntriesPerLine),
+		fw:       make([]uint64, int(sets)*pomSetStride),
 		hashSeed: 0x9E3779B97F4A7C15,
 	}, nil
-}
-
-// NewPOMFlat is NewPOM with the fast engine's struct-of-arrays entry layout
-// (see flat.go); behaviour is bit-identical to the reference layout.
-func NewPOMFlat(base mem.PAddr, sizeBytes uint64) (*POM, error) {
-	p, err := NewPOM(base, sizeBytes)
-	if err != nil {
-		return nil, err
-	}
-	p.entries = nil
-	p.fw = make([]uint64, int(p.sets)*pomSetStride)
-	p.flat = true
-	return p, nil
 }
 
 // MustNewPOM is NewPOM for static configurations.
 func MustNewPOM(base mem.PAddr, sizeBytes uint64) *POM {
 	p, err := NewPOM(base, sizeBytes)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// MustNewPOMFlat is NewPOMFlat for static configurations.
-func MustNewPOMFlat(base mem.PAddr, sizeBytes uint64) *POM {
-	p, err := NewPOMFlat(base, sizeBytes)
 	if err != nil {
 		panic(err)
 	}
@@ -171,19 +146,19 @@ func (p *POM) LineAddrSized(v mem.VAddr, asid mem.ASID, size mem.PageSize) mem.P
 	return p.base + mem.PAddr(set*mem.LineSize)
 }
 
-// probe searches one size's set for (v, asid).
+// probe searches one size's set for (v, asid), promoting a hit to MRU.
 func (p *POM) probe(v mem.VAddr, asid mem.ASID, size mem.PageSize) (mem.PAddr, bool) {
-	if p.flat {
-		return p.probeFlat(v, asid, size)
+	if p.nBySize[size&1] == 0 {
+		return 0, false
 	}
 	vpn := mem.PageNumber(v, size)
-	base := int(p.setOf(vpn, asid, size)) * p.ways
-	for w := 0; w < p.ways; w++ {
-		e := &p.entries[base+w]
-		if e.valid && e.asid == asid && e.vpn == vpn && e.size == size {
-			p.next++
-			e.seq = p.next
-			return e.frame, true
+	want := packPOM(vpn, asid, size)
+	base := int(p.setOf(vpn, asid, size)) * pomSetStride
+	kms := p.fw[base : base+EntriesPerLine]
+	for w := range kms {
+		if kms[w]&^pomRankMask == want {
+			pomTouch(kms, w)
+			return mem.PAddr(p.fw[base+EntriesPerLine+w]), true
 		}
 	}
 	return 0, false
@@ -246,40 +221,42 @@ func (p *POM) InsertSized(v mem.VAddr, asid mem.ASID, frame mem.PAddr, size mem.
 // not a fill; an evict event fires only when a valid entry for a different
 // page is displaced.
 func (p *POM) InsertSizedAt(now uint64, v mem.VAddr, asid mem.ASID, frame mem.PAddr, size mem.PageSize) {
-	if p.flat {
-		p.insertFlat(now, v, asid, frame, size)
-		return
-	}
 	vpn := mem.PageNumber(v, size)
-	base := int(p.setOf(vpn, asid, size)) * p.ways
-	victim := base
-	for w := 0; w < p.ways; w++ {
-		e := &p.entries[base+w]
-		if e.valid && e.asid == asid && e.vpn == vpn && e.size == size {
-			p.next++
-			e.frame, e.seq = frame, p.next
+	want := packPOM(vpn, asid, size)
+	base := int(p.setOf(vpn, asid, size)) * pomSetStride
+	kms := p.fw[base : base+EntriesPerLine]
+	victim := 0
+	for w := range kms {
+		if kms[w]&^pomRankMask == want {
+			// Refresh: update the frame and recency; no counters, no events.
+			p.fw[base+EntriesPerLine+w] = uint64(frame)
+			pomTouch(kms, w)
 			return
 		}
-		if !e.valid {
-			victim = base + w
+		if kms[w]&pomValid == 0 {
+			victim = w
 			break
 		}
-		if e.seq < p.entries[victim].seq {
-			victim = base + w
+		// All ways valid so far: remember the LRU (rank-0) way.
+		if kms[w]&pomRankMask == 0 {
+			victim = w
 		}
 	}
-	if ev := &p.entries[victim]; ev.valid {
-		p.tr.POMEvict(now, uint64(ev.asid), ev.vpn)
+	if ev := kms[victim]; ev&pomValid != 0 {
+		p.tr.POMEvict(now, (ev>>pomASIDSh)&0xFFFF, ev>>pomVPNSh)
+		p.nBySize[(ev>>pomSizeSh)&1]--
 		if p.ip != nil {
-			p.ip.Evict(int(p.setOf(vpn, asid, size)), packPOM(ev.vpn, ev.asid, ev.size), uint64(asid))
+			p.ip.Evict(base/pomSetStride, ev&^pomRankMask, uint64(asid))
 		}
 	}
-	p.next++
-	p.entries[victim] = entry{vpn: vpn, asid: asid, frame: frame, size: size, seq: p.next, valid: true}
+	kms[victim] = want
+	p.fw[base+EntriesPerLine+victim] = uint64(frame)
+	pomTouch(kms, victim)
+	p.nBySize[size&1]++
 	p.Inserts.Inc()
 	p.tr.POMFill(now, uint64(asid), vpn)
 	if p.ip != nil {
-		p.ip.Fill(int(p.setOf(vpn, asid, size)), packPOM(vpn, asid, size), uint64(asid))
+		p.ip.Fill(base/pomSetStride, want, uint64(asid))
 	}
 }
 
@@ -303,14 +280,6 @@ func (p *POM) CheckConservation() string {
 
 // Utilization returns the fraction of POM entries currently valid.
 func (p *POM) Utilization() float64 {
-	if p.flat {
-		return p.utilizationFlat()
-	}
-	valid := 0
-	for i := range p.entries {
-		if p.entries[i].valid {
-			valid++
-		}
-	}
-	return float64(valid) / float64(len(p.entries))
+	valid := p.nBySize[0] + p.nBySize[1]
+	return float64(valid) / float64(int(p.sets)*p.ways)
 }

@@ -8,15 +8,11 @@ import (
 	"github.com/csalt-sim/csalt/internal/stats"
 )
 
-// Snapshot export/import for the translation caches. Both entry layouts
-// serialize the L1/L2 TLBs into the flat engine's packed km-word form
-// (vpn<<18 | asid<<2 | size<<1 | valid): the reference layout packs and
-// unpacks through packKM, the flat layout copies its arrays verbatim, so a
-// restore into either engine reproduces exactly the entries — and exactly
-// the LRU sequence numbers — the snapshot captured. The POM-TLB keeps its
-// native representation per engine (reference entry structs vs the packed
-// one-line-per-set array) because the two hold different replacement
-// metadata; Meta.Key pins a snapshot to the engine that wrote it.
+// Snapshot export/import for the translation caches. The snapshot holds
+// each structure's packed entry words verbatim (see flat.go), so a restore
+// reproduces exactly the entries and the replacement metadata — LRU
+// sequence numbers for the L1/L2 TLBs, in-set ranks for the POM-TLB — the
+// snapshot captured.
 
 func hitRateState(h stats.HitRate) snapshot.HitRate {
 	return snapshot.HitRate{Hits: h.Hits.Value(), Misses: h.Misses.Value()}
@@ -26,143 +22,62 @@ func loadHitRate(st snapshot.HitRate) stats.HitRate {
 	return stats.HitRate{Hits: stats.Counter(st.Hits), Misses: stats.Counter(st.Misses)}
 }
 
-// unpackKM splits a packed km word back into its tag fields; the zero word
-// is the invalid entry.
-func unpackKM(km uint64) (vpn uint64, asid mem.ASID, size mem.PageSize, valid bool) {
-	return km >> kmVPNSh, mem.ASID(km >> kmASIDSh & 0xFFFF), mem.PageSize(km >> kmSizeSh & 1), km&kmValid != 0
-}
-
 // SaveState exports the TLB's complete mutable state.
 func (t *TLB) SaveState() snapshot.TLBState {
-	n := t.Entries()
 	st := snapshot.TLBState{
-		KM:      make([]uint64, n),
-		Frames:  make([]uint64, n),
-		Seqs:    make([]uint64, n),
+		KM:      append([]uint64(nil), t.fs.km...),
+		Frames:  make([]uint64, len(t.fs.frames)),
+		Seqs:    append([]uint64(nil), t.fs.seqs...),
+		NBySize: t.fs.nBySize,
 		Next:    t.next,
 		Acc:     hitRateState(t.Accesses),
 		Lookups: t.Lookups.Value(),
 	}
-	if t.flat {
-		copy(st.KM, t.fs.km)
-		for i, f := range t.fs.frames {
-			st.Frames[i] = uint64(f)
-		}
-		copy(st.Seqs, t.fs.seqs)
-		st.NBySize = t.fs.nBySize
-		return st
-	}
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !e.valid {
-			continue // invalid ways are dead state in both layouts
-		}
-		st.KM[i] = packKM(e.vpn, e.asid, e.size)
-		st.Frames[i] = uint64(e.frame)
-		st.Seqs[i] = e.seq
-		st.NBySize[e.size&1]++
+	for i, f := range t.fs.frames {
+		st.Frames[i] = uint64(f)
 	}
 	return st
 }
 
 // LoadState overwrites the TLB's mutable state from a snapshot taken by a
-// TLB of the same geometry (either layout).
+// TLB of the same geometry.
 func (t *TLB) LoadState(st snapshot.TLBState) error {
 	n := t.Entries()
 	if len(st.KM) != n || len(st.Frames) != n || len(st.Seqs) != n {
 		return fmt.Errorf("tlb %s: snapshot has %d/%d/%d words, want %d",
 			t.cfg.Name, len(st.KM), len(st.Frames), len(st.Seqs), n)
 	}
+	copy(t.fs.km, st.KM)
+	for i, f := range st.Frames {
+		t.fs.frames[i] = mem.PAddr(f)
+	}
+	copy(t.fs.seqs, st.Seqs)
+	t.fs.nBySize = st.NBySize
 	t.next = st.Next
 	t.Accesses = loadHitRate(st.Acc)
 	t.Lookups = stats.Counter(st.Lookups)
-	if t.flat {
-		copy(t.fs.km, st.KM)
-		for i, f := range st.Frames {
-			t.fs.frames[i] = mem.PAddr(f)
-		}
-		copy(t.fs.seqs, st.Seqs)
-		t.fs.nBySize = st.NBySize
-		return nil
-	}
-	for i := range t.entries {
-		vpn, asid, size, valid := unpackKM(st.KM[i])
-		if !valid {
-			t.entries[i] = entry{}
-			continue
-		}
-		t.entries[i] = entry{
-			vpn:   vpn,
-			asid:  asid,
-			frame: mem.PAddr(st.Frames[i]),
-			size:  size,
-			seq:   st.Seqs[i],
-			valid: true,
-		}
-	}
 	return nil
 }
 
-// SaveState exports the POM-TLB's complete mutable state in the layout the
-// running engine keeps natively.
+// SaveState exports the POM-TLB's complete mutable state.
 func (p *POM) SaveState() snapshot.POMState {
-	st := snapshot.POMState{
+	return snapshot.POMState{
+		FW:      append([]uint64(nil), p.fw...),
 		NBySize: p.nBySize,
-		Next:    p.next,
 		Acc:     hitRateState(p.Accesses),
 		Inserts: p.Inserts.Value(),
 		Lookups: p.Lookups.Value(),
 	}
-	if p.flat {
-		st.FW = make([]uint64, len(p.fw))
-		copy(st.FW, p.fw)
-		return st
-	}
-	st.Entries = make([]snapshot.TLBEntry, len(p.entries))
-	for i := range p.entries {
-		e := &p.entries[i]
-		if !e.valid {
-			continue
-		}
-		st.Entries[i] = snapshot.TLBEntry{
-			KM:    packKM(e.vpn, e.asid, e.size),
-			Frame: uint64(e.frame),
-			Seq:   e.seq,
-		}
-	}
-	return st
 }
 
 // LoadState overwrites the POM-TLB's mutable state from a snapshot taken
-// by a POM of the same geometry and entry layout.
+// by a POM of the same geometry.
 func (p *POM) LoadState(st snapshot.POMState) error {
-	if p.flat {
-		if len(st.FW) != len(p.fw) {
-			return fmt.Errorf("tlb: POM snapshot has %d flat words, want %d (or wrong engine)", len(st.FW), len(p.fw))
-		}
-		copy(p.fw, st.FW)
-	} else {
-		if len(st.Entries) != len(p.entries) {
-			return fmt.Errorf("tlb: POM snapshot has %d entries, want %d (or wrong engine)", len(st.Entries), len(p.entries))
-		}
-		for i, se := range st.Entries {
-			vpn, asid, size, valid := unpackKM(se.KM)
-			if !valid {
-				p.entries[i] = entry{}
-				continue
-			}
-			p.entries[i] = entry{
-				vpn:   vpn,
-				asid:  asid,
-				frame: mem.PAddr(se.Frame),
-				size:  size,
-				seq:   se.Seq,
-				valid: true,
-			}
-		}
+	if len(st.FW) != len(p.fw) {
+		return fmt.Errorf("tlb: POM snapshot has %d words, want %d", len(st.FW), len(p.fw))
 	}
+	copy(p.fw, st.FW)
 	p.nBySize = st.NBySize
-	p.next = st.Next
 	p.Accesses = loadHitRate(st.Acc)
 	p.Inserts = stats.Counter(st.Inserts)
 	p.Lookups = stats.Counter(st.Lookups)

@@ -16,26 +16,12 @@ import (
 	"github.com/csalt-sim/csalt/internal/stats"
 )
 
-// entry is one TLB entry: an ASID-tagged virtual-to-physical page mapping.
-type entry struct {
-	vpn   uint64
-	asid  mem.ASID
-	frame mem.PAddr
-	size  mem.PageSize
-	seq   uint64
-	valid bool
-}
-
 // Config sizes a TLB level.
 type Config struct {
 	Name    string
 	Entries int
 	Ways    int
 	Latency uint64 // lookup latency in CPU cycles
-	// Flat selects the struct-of-arrays entry layout of the fast simulation
-	// engine (see flat.go); behaviour is bit-identical to the default
-	// array-of-structs layout.
-	Flat bool
 }
 
 // TLB is one set-associative, ASID-tagged translation lookaside buffer.
@@ -46,9 +32,7 @@ type TLB struct {
 	sets    int
 	ways    int
 	setMask uint64
-	entries []entry   // reference layout (nil in flat mode)
-	fs      flatState // flat layout (empty in reference mode)
-	flat    bool
+	fs      flatState // packed entry store (see flat.go)
 	next    uint64
 	ip      *introspect.Probe // nil unless an attribution plane is attached
 
@@ -73,12 +57,7 @@ func New(cfg Config) (*TLB, error) {
 		sets:    sets,
 		ways:    cfg.Ways,
 		setMask: uint64(sets - 1),
-		flat:    cfg.Flat,
-	}
-	if cfg.Flat {
-		t.fs = newFlatState(cfg.Entries)
-	} else {
-		t.entries = make([]entry, cfg.Entries)
+		fs:      newFlatState(cfg.Entries),
 	}
 	return t, nil
 }
@@ -98,8 +77,8 @@ func (t *TLB) Name() string { return t.cfg.Name }
 // Sets returns the number of sets.
 func (t *TLB) Sets() int { return t.sets }
 
-// SetIntrospect attaches an attribution probe; both entry layouts feed
-// it identical decoded keys, so attribution is engine-invariant.
+// SetIntrospect attaches an attribution probe, keyed by the packed entry
+// words.
 func (t *TLB) SetIntrospect(p *introspect.Probe) { t.ip = p }
 
 // introspectHit records a lookup hit at the matched page size.
@@ -126,12 +105,7 @@ func (t *TLB) introspectMiss(v mem.VAddr, asid mem.ASID) {
 func (t *TLB) Latency() uint64 { return t.cfg.Latency }
 
 // Entries returns the capacity.
-func (t *TLB) Entries() int {
-	if t.flat {
-		return len(t.fs.km)
-	}
-	return len(t.entries)
-}
+func (t *TLB) Entries() int { return len(t.fs.km) }
 
 // RegisterMetrics publishes the TLB's hit/miss counters into an
 // observability group. Closures keep the reads live (see
@@ -144,37 +118,21 @@ func (t *TLB) RegisterMetrics(g *obs.Group) {
 
 func (t *TLB) set(vpn uint64) int { return int(vpn & t.setMask) }
 
-// probe searches one page size's set for (asid, v).
-func (t *TLB) probe(v mem.VAddr, asid mem.ASID, size mem.PageSize) (mem.PAddr, bool) {
-	vpn := mem.PageNumber(v, size)
-	base := t.set(vpn) * t.ways
-	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if e.valid && e.asid == asid && e.vpn == vpn && e.size == size {
-			t.next++
-			e.seq = t.next
-			return e.frame, true
-		}
-	}
-	return 0, false
-}
-
 // Lookup translates v for asid, probing 4 KB then 2 MB entries. It returns
-// the page frame and the matched page size.
+// the page frame and the matched page size. A page size the TLB holds no
+// entries of is not probed (the probe could only have missed).
 func (t *TLB) Lookup(v mem.VAddr, asid mem.ASID) (mem.PAddr, mem.PageSize, bool) {
 	t.Lookups.Inc()
-	if t.flat {
-		return t.lookupFlat(v, asid)
-	}
-	if frame, ok := t.probe(v, asid, mem.Page4K); ok {
-		t.Accesses.Hit()
-		t.introspectHit(v, asid, mem.Page4K)
-		return frame, mem.Page4K, true
-	}
-	if frame, ok := t.probe(v, asid, mem.Page2M); ok {
-		t.Accesses.Hit()
-		t.introspectHit(v, asid, mem.Page2M)
-		return frame, mem.Page2M, true
+	for _, size := range [...]mem.PageSize{mem.Page4K, mem.Page2M} {
+		if t.fs.nBySize[size] == 0 {
+			continue
+		}
+		vpn := mem.PageNumber(v, size)
+		if frame, ok := t.fs.probe(packKM(vpn, asid, size), t.set(vpn)*t.ways, t.ways, &t.next); ok {
+			t.Accesses.Hit()
+			t.introspectHit(v, asid, size)
+			return frame, size, true
+		}
 	}
 	t.Accesses.Miss()
 	t.introspectMiss(v, asid)
@@ -184,36 +142,16 @@ func (t *TLB) Lookup(v mem.VAddr, asid mem.ASID) (mem.PAddr, mem.PageSize, bool)
 // Insert installs a translation, evicting the set's LRU entry if needed.
 // Inserting an existing (asid, page) refreshes it.
 func (t *TLB) Insert(v mem.VAddr, asid mem.ASID, frame mem.PAddr, size mem.PageSize) {
-	if t.flat {
-		t.insertFlat(v, asid, frame, size)
+	vpn := mem.PageNumber(v, size)
+	want := packKM(vpn, asid, size)
+	evictKM, refreshed := t.fs.insert(want, frame, t.set(vpn)*t.ways, t.ways, &t.next)
+	if t.ip == nil || refreshed {
 		return
 	}
-	vpn := mem.PageNumber(v, size)
-	base := t.set(vpn) * t.ways
-	victim := base
-	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if e.valid && e.asid == asid && e.vpn == vpn && e.size == size {
-			t.next++
-			e.frame, e.seq = frame, t.next
-			return
-		}
-		if !e.valid {
-			victim = base + w
-			break
-		}
-		if e.seq < t.entries[victim].seq {
-			victim = base + w
-		}
+	if evictKM != 0 {
+		t.ip.Evict(t.set(vpn), evictKM, uint64(asid))
 	}
-	t.next++
-	if t.ip != nil {
-		if e := &t.entries[victim]; e.valid {
-			t.ip.Evict(t.set(vpn), packKM(e.vpn, e.asid, e.size), uint64(asid))
-		}
-		t.ip.Fill(t.set(vpn), packKM(vpn, asid, size), uint64(asid))
-	}
-	t.entries[victim] = entry{vpn: vpn, asid: asid, frame: frame, size: size, seq: t.next, valid: true}
+	t.ip.Fill(t.set(vpn), want, uint64(asid))
 }
 
 // ResetStats zeroes the hit/miss/lookup counters together (warmup
@@ -231,34 +169,4 @@ func (t *TLB) CheckConservation() string {
 		return fmt.Sprintf("hits(%d)+misses(%d) != lookups(%d)", h, m, l)
 	}
 	return ""
-}
-
-// FlushASID invalidates every entry of one address space (not used on
-// context switches — ASID tagging exists precisely to avoid that — but
-// exposed for completeness and tests).
-func (t *TLB) FlushASID(asid mem.ASID) {
-	if t.flat {
-		t.flushASIDFlat(asid)
-		return
-	}
-	for i := range t.entries {
-		if t.entries[i].asid == asid {
-			t.entries[i].valid = false
-		}
-	}
-}
-
-// OccupancyByASID counts valid entries per ASID, for diagnostics of the
-// context-switch contention the paper measures.
-func (t *TLB) OccupancyByASID() map[mem.ASID]int {
-	if t.flat {
-		return t.occupancyByASIDFlat()
-	}
-	out := make(map[mem.ASID]int)
-	for i := range t.entries {
-		if t.entries[i].valid {
-			out[t.entries[i].asid]++
-		}
-	}
-	return out
 }

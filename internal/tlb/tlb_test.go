@@ -94,22 +94,8 @@ func TestInsertRefreshesExisting(t *testing.T) {
 	if !ok || frame != 0x2000 {
 		t.Fatalf("refresh lookup = %#x,%v", frame, ok)
 	}
-	occ := tb.OccupancyByASID()
-	if occ[1] != 1 {
-		t.Errorf("occupancy = %d, want 1", occ[1])
-	}
-}
-
-func TestFlushASID(t *testing.T) {
-	tb := MustNew(l1Config())
-	tb.Insert(0x1000, 1, 0xA000, mem.Page4K)
-	tb.Insert(0x2000, 2, 0xB000, mem.Page4K)
-	tb.FlushASID(1)
-	if _, _, ok := tb.Lookup(0x1000, 1); ok {
-		t.Error("flushed entry survived")
-	}
-	if _, _, ok := tb.Lookup(0x2000, 2); !ok {
-		t.Error("other ASID's entry flushed")
+	if n := tb.fs.nBySize[mem.Page4K]; n != 1 {
+		t.Errorf("occupancy = %d, want 1", n)
 	}
 }
 
