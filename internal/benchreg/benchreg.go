@@ -312,8 +312,9 @@ var nilGuardSink *introspect.CoreProbe
 //     fills and evictions, walks, DRAM queue observations) plus the
 //     constant per-reference core and run-loop guards.
 //
-// The returned fraction is sites × price / (best-of-rounds detached run
-// wall time). rounds <= 0 selects 3.
+// The returned fraction is the median over rounds of sites × price /
+// detached run wall time, each round's price timed next to its run.
+// rounds <= 0 selects 3.
 func MeasureIntrospectOverhead(refsPerCore uint64, rounds int) (float64, error) {
 	if refsPerCore == 0 {
 		refsPerCore = DefaultProbeRefs
@@ -321,23 +322,59 @@ func MeasureIntrospectOverhead(refsPerCore uint64, rounds int) (float64, error) 
 	if rounds <= 0 {
 		rounds = 3
 	}
-	var runTime time.Duration
+	// Price one disabled hook evaluation. Each call inlines to the hook's
+	// nil check; predictable and register-resident, like the real sites,
+	// so this is the honest (small) per-site cost. The body is unrolled
+	// eightfold so the price reflects the guards, not the loop's carried
+	// branch — a bare one-check-per-iteration loop is dominated by its
+	// back edge, whose cost swings ~2x with the binary's code layout and
+	// would spuriously fail the bar after unrelated changes.
+	const iters = 1 << 20
+	pricePass := func() time.Duration {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			nilGuardSink.Compute(1)
+			nilGuardSink.Compute(1)
+			nilGuardSink.Compute(1)
+			nilGuardSink.Compute(1)
+			nilGuardSink.Compute(1)
+			nilGuardSink.Compute(1)
+			nilGuardSink.Compute(1)
+			nilGuardSink.Compute(1)
+		}
+		return time.Since(start)
+	}
+
+	// On a shared host the machine's speed drifts within a second
+	// (neighbouring load on sibling hardware threads, frequency changes),
+	// and it drifts for the price loop and the probe run alike.
+	// Timing each factor on its own and dividing the two bests pairs a
+	// price from one moment with a run time from another, so the drift
+	// lands in the fraction. Instead each timed run is bracketed by a
+	// price pass on either side — the faster of the two, so a preemption
+	// inside one few-millisecond pass cannot inflate the price — and the
+	// fraction is taken per round, under the conditions that round saw.
+	type round struct{ price, run time.Duration }
+	var timed []round
 	for i := 0; i <= rounds; i++ {
 		s, err := sim.New(probeConfig(refsPerCore))
 		if err != nil {
 			return 0, fmt.Errorf("benchreg: building overhead-probe system: %w", err)
 		}
+		before := pricePass()
 		start := time.Now()
 		if _, err := s.Run(); err != nil {
 			return 0, fmt.Errorf("benchreg: overhead-probe run: %w", err)
 		}
 		d := time.Since(start)
+		price := pricePass()
 		if i == 0 {
 			continue // warmup run absorbs cold caches, untimed
 		}
-		if runTime == 0 || d < runTime {
-			runTime = d
+		if before < price {
+			price = before
 		}
+		timed = append(timed, round{price: price, run: d})
 	}
 
 	// Count the hook sites one probe run reaches, using an attached run
@@ -369,41 +406,20 @@ func MeasureIntrospectOverhead(refsPerCore uint64, rounds int) (float64, error) 
 			sites += n
 		}
 	}
-	// Per-reference constants: two advanceNonMem guards, the translate-
-	// and data-stall guards, the Translate/Access register stores, and
-	// the run loop's phase poll.
+	// Per-reference constants: the core step's compute-charge guard, the
+	// translate- and data-stall guards, the Translate/Access register
+	// stores, and the run loop's phase poll.
 	refs := refsPerCore * uint64(cfg.Cores)
-	sites += 7 * refs
+	sites += 6 * refs
 
-	// Price one disabled hook evaluation. Each call inlines to the hook's
-	// nil check; predictable and register-resident, like the real sites,
-	// so this is the honest (small) per-site cost. The body is unrolled
-	// eightfold so the price reflects the guards, not the loop's carried
-	// branch — a bare one-check-per-iteration loop is dominated by its
-	// back edge, whose cost swings ~2x with the binary's code layout and
-	// would spuriously fail the bar after unrelated changes. Best of
-	// three passes, like runTime above, so scheduler noise on a loaded
-	// host cannot inflate the price either.
-	const iters = 1 << 20
-	var priceTime time.Duration
-	for pass := 0; pass < 3; pass++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			nilGuardSink.Compute(1)
-			nilGuardSink.Compute(1)
-			nilGuardSink.Compute(1)
-			nilGuardSink.Compute(1)
-			nilGuardSink.Compute(1)
-			nilGuardSink.Compute(1)
-			nilGuardSink.Compute(1)
-			nilGuardSink.Compute(1)
-		}
-		if d := time.Since(start); priceTime == 0 || d < priceTime {
-			priceTime = d
-		}
+	fracs := make([]float64, len(timed))
+	for i, r := range timed {
+		perSite := float64(r.price) / (8 * iters) // fractional ns per guard
+		fracs[i] = float64(sites) * perSite / float64(r.run)
 	}
-	perSite := float64(priceTime) / (8 * iters) // fractional ns per guard
-	return float64(sites) * perSite / float64(runTime), nil
+	sort.Float64s(fracs)
+	n := len(fracs)
+	return (fracs[(n-1)/2] + fracs[n/2]) / 2, nil
 }
 
 // MeasureAttributionOverhead prices turning attribution ON: best-of-

@@ -170,15 +170,14 @@ func (c *Core) IPC() float64 {
 	return float64(c.Stats.Instructions.Value()) / float64(c.cycle)
 }
 
-// advanceNonMem retires n non-memory instructions at the base CPI.
-func (c *Core) advanceNonMem(n uint64) {
+// advanceNonMem retires n non-memory instructions at the base CPI and
+// returns the cycles it advanced the clock by.
+func (c *Core) advanceNonMem(n uint64) uint64 {
 	c.cpiAccum += n * c.cfg.CPIx100
 	adv := c.cpiAccum / 100
 	c.cycle += adv
 	c.cpiAccum %= 100
-	if c.ip != nil {
-		c.ip.Compute(adv)
-	}
+	return adv
 }
 
 // maybeSwitch rotates to the next context when the switch interval
@@ -236,7 +235,7 @@ func (c *Core) Step() (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	c.advanceNonMem(uint64(r.NonMem))
+	compute := c.advanceNonMem(uint64(r.NonMem))
 
 	// Translation. An L1 TLB hit returns done == now and costs nothing
 	// extra. An L2 TLB hit adds its latency to the load's start time but
@@ -268,8 +267,13 @@ func (c *Core) Step() (bool, error) {
 		c.issueLoad(dataDone)
 	}
 
-	// The memory instruction itself occupies an issue slot.
-	c.advanceNonMem(1)
+	// The memory instruction itself occupies an issue slot. Both compute
+	// charges go to the attribution plane under one guard: the buckets are
+	// plain sums, read only between steps.
+	compute += c.advanceNonMem(1)
+	if c.ip != nil {
+		c.ip.Compute(compute)
+	}
 	c.Stats.Instructions.Add(r.Instructions())
 	c.Stats.MemRefs.Inc()
 	return true, nil

@@ -4,24 +4,22 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/csalt-sim/csalt/internal/sim"
 )
 
 // TestGoldenTablesEngineInvariant is the rendered-table end of the
-// fast-vs-reference equivalence contract (the metrics-digest end lives in
-// internal/sim/equivalence_test.go): the reference engine must reproduce
-// the committed golden tables byte for byte, and the two engines must
-// render identical tables for every golden artifact. A divergence here
-// with a green internal/sim suite would mean an engine-dependent code
-// path above the simulator — in the experiment enumerators or the table
-// renderer — which this test exists to rule out.
+// equivalence contract (the metrics-digest end lives in
+// internal/sim/equivalence_test.go): the committed golden tables must not
+// depend on how the experiment Engine executes its jobs. Each golden
+// artifact is rendered sequentially on one worker and again on four
+// workers with durable mid-run snapshots armed, and both renderings must
+// equal the golden file byte for byte. A divergence here with a green
+// internal/sim suite would mean an execution-dependent code path above
+// the simulator — in the job enumerators, the memo cache, the snapshot
+// plumbing or the table renderer — which this test exists to rule out.
 func TestGoldenTablesEngineInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny-scale golden sweep")
 	}
-	refScale := Tiny
-	refScale.Engine = sim.EngineReference
 	for _, id := range goldenExperiments {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -29,24 +27,30 @@ func TestGoldenTablesEngineInvariant(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q missing", id)
 			}
-			fastTable, err := NewEngine(Tiny, 4).Run(e)
+			seqTable, err := NewEngine(Tiny, 1).Run(e)
 			if err != nil {
-				t.Fatalf("fast engine: %v", err)
+				t.Fatalf("sequential engine: %v", err)
 			}
-			refTable, err := NewEngine(refScale, 4).Run(e)
+			snapEng := NewEngine(Tiny, 4)
+			snapEng.Runner.SnapshotDir = t.TempDir()
+			snapEng.Runner.SnapshotEvery = 20_000
+			snapTable, err := snapEng.Run(e)
 			if err != nil {
-				t.Fatalf("reference engine: %v", err)
+				t.Fatalf("snapshotting engine: %v", err)
 			}
-			fast, ref := fastTable.String(), refTable.String()
-			if fast != ref {
-				t.Errorf("%s tables diverge across engines\n--- fast ---\n%s--- reference ---\n%s", id, fast, ref)
+			if snapEng.Runner.LastSnapshotTime().IsZero() {
+				t.Errorf("%s: the snapshotting engine wrote no snapshot", id)
+			}
+			seq, snap := seqTable.String(), snapTable.String()
+			if seq != snap {
+				t.Errorf("%s tables diverge across execution modes\n--- sequential ---\n%s--- snapshotting ---\n%s", id, seq, snap)
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", id+"_tiny.golden"))
 			if err != nil {
 				t.Fatalf("missing golden file: %v", err)
 			}
-			if ref != string(want) {
-				t.Errorf("%s reference-engine table drifted from golden snapshot\n--- want ---\n%s\n--- got ---\n%s", id, want, ref)
+			if seq != string(want) {
+				t.Errorf("%s sequential table drifted from golden snapshot\n--- want ---\n%s\n--- got ---\n%s", id, want, seq)
 			}
 		})
 	}

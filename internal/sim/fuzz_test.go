@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
+	"github.com/csalt-sim/csalt/internal/cache"
+	"github.com/csalt-sim/csalt/internal/core"
+	"github.com/csalt-sim/csalt/internal/introspect"
+	"github.com/csalt-sim/csalt/internal/obs"
 	"github.com/csalt-sim/csalt/internal/workload"
 )
 
@@ -53,6 +58,66 @@ func FuzzConfigValidate(f *testing.F) {
 		// The products downstream code forms must not overflow.
 		if total := cfg.MaxRefsPerCore * uint64(cfg.Cores); total/uint64(cfg.Cores) != cfg.MaxRefsPerCore {
 			t.Fatalf("accepted config overflows MaxRefsPerCore*Cores: %d * %d", cfg.MaxRefsPerCore, cfg.Cores)
+		}
+	})
+}
+
+// FuzzEngineEquivalence drives randomly-shaped (but valid) configurations
+// through the engine's three ways of playing a run and fails on any
+// divergence between them: uninterrupted; with the attribution plane
+// attached (before the observer, so the registry carries only component
+// metrics); and restored from a mid-run snapshot, decoded and resumed. Every
+// byte of the final metrics-registry snapshot — counter totals,
+// eviction-order-dependent hit rates, float metrics — and of the Results
+// must agree, with invariant checks armed throughout. Where the pinned
+// shapes in equivalence_test.go (its fuzz_seed_* rows are this fuzzer's
+// seeds) cover the corners we thought of, the fuzzer hunts the
+// interaction we did not.
+func FuzzEngineEquivalence(f *testing.F) {
+	f.Add(uint8(3), uint8(5), uint8(2), uint8(1), uint8(0), uint8(0), uint8(0), false, false, uint16(60), uint64(1))
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(2), uint8(1), uint8(2), uint8(1), true, false, uint16(120), uint64(7))
+	f.Add(uint8(2), uint8(4), uint8(4), uint8(2), uint8(2), uint8(3), uint8(2), false, true, uint16(90), uint64(42))
+	f.Fuzz(func(t *testing.T, vm1, vm2, contexts, cores, orgPick, schemePick, policyPick uint8,
+		dip, native bool, scale uint16, seed uint64) {
+		benches := workload.All()
+		cfg := tinyConfig()
+		// Footprint 0.02x-0.15x and a short run keep one input under ~200ms.
+		mixedShape(benches[int(vm1)%len(benches)], benches[int(vm2)%len(benches)],
+			[]int{1, 2, 4}[int(contexts)%3], 1+int(cores)%2,
+			[]TranslationOrg{OrgConventional, OrgPOM, OrgTSB}[int(orgPick)%3],
+			[]core.Scheme{core.None, core.Static, core.Dynamic, core.CriticalityDynamic}[int(schemePick)%4],
+			[]cache.PolicyKind{cache.PolicyLRU, cache.PolicyNRU, cache.PolicyBTPLRU}[int(policyPick)%3],
+			dip, native, int(scale%128), seed)(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Skip()
+		}
+		wantDigest, wantRes := digestRun(t, cfg)
+
+		sys := MustNew(cfg)
+		sys.AttachIntrospection(introspect.NewPlane(introspect.Config{Cores: cfg.Cores}))
+		reg := obs.NewRegistry()
+		sys.AttachObserver(&obs.Observer{Registry: reg})
+		sys.EnableInvariantChecks(0)
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if digest, rj := digestOf(t, reg, res); digest != wantDigest || !bytes.Equal(rj, wantRes) {
+			t.Errorf("attributed run diverged for %+v:\n  digest  %s\n  want    %s\n  Results %s\n  want    %s",
+				cfg, digest, wantDigest, rj, wantRes)
+		}
+
+		sink, _, _, err := snapshottingRun(t, cfg, 1_500, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.blobs) == 0 {
+			t.Fatalf("no snapshot taken for %+v", cfg)
+		}
+		digest, rj := resumeRun(t, cfg, sink.blobs[len(sink.blobs)/2])
+		if digest != wantDigest || !bytes.Equal(rj, wantRes) {
+			t.Errorf("resumed run diverged for %+v:\n  digest  %s\n  want    %s\n  Results %s\n  want    %s",
+				cfg, digest, wantDigest, rj, wantRes)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/csalt-sim/csalt/internal/introspect"
@@ -12,28 +11,46 @@ import (
 // the plane attached produces the exact same metrics digest and Results
 // as one without it. The plane attaches before the observer here so the
 // registry carries only component metrics and the digests are
-// comparable.
+// comparable. The "fast" case holds the attached run to a live bare run
+// of the engine; the "reference" case holds it to the bare four_contexts
+// row pinned in equivalence_test.go, recorded while the reference layout
+// of every TLB, POM-TLB and cache still ran alongside and agreed.
 func TestIntrospectionPassive(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.ContextsPerCore = 4
-	cfg.SwitchIntervalCycles = 10_000
-	bareDigest, bareRes := digestRun(t, cfg)
+	fourContexts(&cfg)
+	for _, base := range []struct {
+		name string
+		want func(t *testing.T) (digest, resultsSum string)
+	}{
+		{"fast", func(t *testing.T) (string, string) {
+			d, r := digestRun(t, cfg)
+			return d, sha256Hex(r)
+		}},
+		{"reference", func(t *testing.T) (string, string) {
+			p := pinned["four_contexts"]
+			return p[0], p[1]
+		}},
+	} {
+		t.Run(base.name, func(t *testing.T) {
+			bareDigest, bareRes := base.want(t)
 
-	sys := MustNew(cfg)
-	sys.AttachIntrospection(introspect.NewPlane(introspect.Config{Cores: cfg.Cores}))
-	reg := obs.NewRegistry()
-	sys.AttachObserver(&obs.Observer{Registry: reg})
-	sys.EnableInvariantChecks(0)
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest, rj := digestOf(t, reg, res)
-	if digest != bareDigest {
-		t.Errorf("attaching introspection changed the metrics digest:\n  bare     %s\n  attached %s", bareDigest, digest)
-	}
-	if !bytes.Equal(rj, bareRes) {
-		t.Errorf("attaching introspection changed Results:\n  bare     %s\n  attached %s", bareRes, rj)
+			sys := MustNew(cfg)
+			sys.AttachIntrospection(introspect.NewPlane(introspect.Config{Cores: cfg.Cores}))
+			reg := obs.NewRegistry()
+			sys.AttachObserver(&obs.Observer{Registry: reg})
+			sys.EnableInvariantChecks(0)
+			res, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest, rj := digestOf(t, reg, res)
+			if digest != bareDigest {
+				t.Errorf("attaching introspection changed the metrics digest:\n  bare     %s\n  attached %s", bareDigest, digest)
+			}
+			if sum := sha256Hex(rj); sum != bareRes {
+				t.Errorf("attaching introspection changed Results:\n  bare     %s\n  attached %s (%s)", bareRes, sum, rj)
+			}
+		})
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 
 // The snapshot/restore contract: kill a run at any poll boundary, restore
 // from the snapshot, run to completion — and the metrics-registry digest
-// and Results JSON are byte-identical to the uninterrupted run. These tests enforce it end to end through the codec (snapshots
-// round-trip through EncodeToBytes/Decode, not just in-memory state).
+// and Results JSON are byte-identical to the uninterrupted run. These tests
+// enforce it end to end through the codec (snapshots round-trip through
+// EncodeToBytes/Decode, not just in-memory state).
 
 // memSink collects encoded snapshots in memory, optionally requesting a
 // cooperative stop after a fixed number of writes (a deterministic mid-run
@@ -108,33 +109,53 @@ func snapshottingRun(t *testing.T, cfg Config, every uint64, stopAfter int) (*me
 // TestSnapshotResumeByteIdentical is the tentpole contract: restore from
 // the first, a middle and the last periodic snapshot, and every resumed run
 // must reproduce the uninterrupted run's registry digest and Results bytes
-// exactly.
+// exactly. The "fast" case takes the uninterrupted observables from a live
+// run of the engine; the "reference" case takes them from the
+// fig3_pom_occupancy row pinned in equivalence_test.go (tinyConfig's
+// shape), recorded while the reference layout of every TLB, POM-TLB and
+// cache still ran alongside and agreed.
 func TestSnapshotResumeByteIdentical(t *testing.T) {
 	cfg := tinyConfig()
-	wantDigest, wantRes := digestRun(t, cfg)
+	for _, base := range []struct {
+		name string
+		want func(t *testing.T) (digest, resultsSum string)
+	}{
+		{"fast", func(t *testing.T) (string, string) {
+			d, r := digestRun(t, cfg)
+			return d, sha256Hex(r)
+		}},
+		{"reference", func(t *testing.T) (string, string) {
+			p := pinned["fig3_pom_occupancy"]
+			return p[0], p[1]
+		}},
+	} {
+		t.Run(base.name, func(t *testing.T) {
+			wantDigest, wantRes := base.want(t)
 
-	sink, digest, rj, err := snapshottingRun(t, cfg, 3_000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest != wantDigest {
-		t.Fatalf("snapshotting perturbed the run:\n  with    %s\n  without %s", digest, wantDigest)
-	}
-	if !bytes.Equal(rj, wantRes) {
-		t.Fatalf("snapshotting perturbed Results:\n  with    %s\n  without %s", rj, wantRes)
-	}
-	if len(sink.blobs) < 3 {
-		t.Fatalf("expected >= 3 periodic snapshots, got %d", len(sink.blobs))
-	}
+			sink, digest, rj, err := snapshottingRun(t, cfg, 3_000, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if digest != wantDigest {
+				t.Fatalf("snapshotting perturbed the run:\n  with    %s\n  without %s", digest, wantDigest)
+			}
+			if sum := sha256Hex(rj); sum != wantRes {
+				t.Fatalf("snapshotting perturbed Results:\n  with    %s (%s)\n  without %s", sum, rj, wantRes)
+			}
+			if len(sink.blobs) < 3 {
+				t.Fatalf("expected >= 3 periodic snapshots, got %d", len(sink.blobs))
+			}
 
-	for _, i := range []int{0, len(sink.blobs) / 2, len(sink.blobs) - 1} {
-		gotDigest, gotRes := resumeRun(t, cfg, sink.blobs[i])
-		if gotDigest != wantDigest {
-			t.Errorf("snapshot %d: resumed digest diverged:\n  resumed       %s\n  uninterrupted %s", i, gotDigest, wantDigest)
-		}
-		if !bytes.Equal(gotRes, wantRes) {
-			t.Errorf("snapshot %d: resumed Results diverged:\n  resumed       %s\n  uninterrupted %s", i, gotRes, wantRes)
-		}
+			for _, i := range []int{0, len(sink.blobs) / 2, len(sink.blobs) - 1} {
+				gotDigest, gotRes := resumeRun(t, cfg, sink.blobs[i])
+				if gotDigest != wantDigest {
+					t.Errorf("snapshot %d: resumed digest diverged:\n  resumed       %s\n  uninterrupted %s", i, gotDigest, wantDigest)
+				}
+				if sum := sha256Hex(gotRes); sum != wantRes {
+					t.Errorf("snapshot %d: resumed Results diverged:\n  resumed       %s (%s)\n  uninterrupted %s", i, sum, gotRes, wantRes)
+				}
+			}
+		})
 	}
 }
 
