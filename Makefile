@@ -100,11 +100,13 @@ fuzz-models:
 	$(GO) test ./internal/tlb/ -run '^$$' -fuzz FuzzPOMModel -fuzztime 30s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz FuzzCacheModel -fuzztime 30s
 
-# Bounded fuzz pass over the snapshot codec: encode→decode→re-encode must
-# reproduce the exact bytes and single-byte damage must never decode
-# silently. Extend -fuzztime for deeper soaks.
+# Bounded fuzz pass over the snapshot codec: encode→decode must give back
+# an equal state and the exact bytes, single-byte damage must never decode
+# silently, and arbitrary payloads in a valid frame must fail cleanly with
+# ErrCorrupt or re-encode to themselves. Extend -fuzztime for deeper soaks.
 fuzz-snapshot:
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
+	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 30s
 
 # Allocation regression: the steady-state step loop must stay
 # allocation-free (internal/sim/alloc_test.go). Runs without -race —

@@ -1,12 +1,16 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"os"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/csalt-sim/csalt/internal/checkpoint"
 	"github.com/csalt-sim/csalt/internal/sim"
 	"github.com/csalt-sim/csalt/internal/snapshot"
 	"github.com/csalt-sim/csalt/internal/workload"
@@ -90,5 +94,56 @@ drain:
 	}
 	if info, err := snapshot.ScanDir(dir); err != nil || info.Snapshots != 0 {
 		t.Errorf("completed job left its snapshot behind: %+v err=%v", info, err)
+	}
+}
+
+// TestRunnerJSONLineSnapshotRunsFromZero: a slot holding a version-2 file
+// (the three-JSON-line layout this binary no longer reads) is version
+// skew: the runner quarantines it, runs the job from zero, and the tables
+// match a run that never saw a snapshot.
+func TestRunnerJSONLineSnapshotRunsFromZero(t *testing.T) {
+	fig3, ok := ByID("fig3")
+	if !ok {
+		t.Fatal("fig3 not registered")
+	}
+	want, err := fig3.Run(NewRunner(microScale))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	keys := map[string]bool{}
+	for _, cfg := range fig3.Jobs(microScale) {
+		key, err := checkpoint.KeyOf(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[key] = true
+		head, err := json.Marshal(snapshot.Meta{Schema: snapshot.Schema, Version: 2, Key: key, Seq: 1, Steps: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := append(append(head, '\n'), `{"warmed":true,"snaps":[{"instructions":1,"cycles":2}]}`+"\n"...)
+		sum := sha256.Sum256(data)
+		data = append(data, `{"sha256":"`+hex.EncodeToString(sum[:])+`"}`+"\n"...)
+		if err := os.WriteFile(snapshot.PathFor(dir, key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := NewRunner(microScale)
+	r.SnapshotDir = dir
+	got, err := fig3.Run(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Resumed() != 0 {
+		t.Errorf("runner resumed %d jobs from version-2 files", r.Resumed())
+	}
+	if got.String() != want.String() {
+		t.Errorf("tables differ from a snapshot-free run:\n%s\nwant:\n%s", got, want)
+	}
+	if info, err := snapshot.ScanDir(dir); err != nil || info.Snapshots != 0 || info.Quarantined != len(keys) {
+		t.Errorf("after the run: %+v err=%v, want 0 live and %d quarantined", info, err, len(keys))
 	}
 }

@@ -4,19 +4,24 @@
 // into the results directory so an interrupted job resumes from its last
 // snapshot instead of cycle zero.
 //
-// File format — three JSON lines:
+// File format (version 3), three parts:
 //
-//	{"schema":"csalt-snapshot","version":2,"key":"<config key>","seq":N,"steps":N}
-//	{ ... State payload ... }
-//	{"sha256":"<hex digest of the two lines above, newlines included>"}
+//	{"schema":"csalt-snapshot","version":3,"key":"<config key>","seq":N,"steps":N}\n
+//	<binary State payload>
+//	<32-byte sha256 of the header line and the payload>
 //
-// The payload is a tree of slices and scalars only — no maps — so Go's
-// deterministic struct-field encoding makes decode→re-encode byte-identical
-// (FuzzSnapshotRoundTrip pins this). Writes go through a temp file, fsync
-// and rename, so a crash mid-write leaves either the previous snapshot or
-// the new one — never a torn mix; a file damaged by other means (bit flip,
-// manual truncation) fails the checksum, is quarantined to <path>.corrupt,
-// and the job falls back cleanly to a from-zero restart.
+// The header is one JSON line, as in versions 1 and 2, so any version's
+// header reads the same way. The payload is the little-endian binary
+// encoding of the State tree described in codec.go: packed structure words
+// are written as zero runs and literal runs, so the mostly empty POM-TLB
+// and invalid cache lines cost a few bytes. The encoding is canonical, so
+// decode→re-encode is byte-identical (FuzzSnapshotRoundTrip pins this).
+// Writes go through a temp file, fsync and rename, so a crash mid-write
+// leaves either the previous snapshot or the new one — never a torn mix; a
+// file damaged by other means (bit flip, manual truncation) fails the
+// checksum, is quarantined to <path>.corrupt, and the job falls back
+// cleanly to a from-zero restart. A file in the old three-JSON-line layout
+// is reported as version skew and also falls back to a from-zero restart.
 //
 // The package deliberately knows nothing about the simulator: component
 // packages (tlb, cache, cpu, dram, walker, workload, sim) export and import
@@ -25,7 +30,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -46,7 +50,7 @@ import (
 // to a from-zero restart) instead of restoring wrong state.
 const (
 	Schema  = "csalt-snapshot"
-	Version = 2
+	Version = 3
 )
 
 // Suffix is the snapshot file extension inside a snapshot directory.
@@ -57,14 +61,14 @@ const Suffix = ".snap"
 // restart without string matching.
 var (
 	// ErrCorrupt marks a snapshot whose bytes cannot be trusted: checksum
-	// mismatch, truncation, or an unparseable line.
+	// mismatch, truncation, or an unparseable header or payload.
 	ErrCorrupt = errors.New("snapshot corrupt")
 	// ErrVersion marks a structurally intact snapshot written by an
 	// incompatible schema or version.
 	ErrVersion = errors.New("snapshot version mismatch")
 )
 
-// Meta is the first line of every snapshot file.
+// Meta is the header line of every snapshot file.
 type Meta struct {
 	Schema  string `json:"schema"`
 	Version int    `json:"version"`
@@ -81,92 +85,84 @@ type Meta struct {
 // PathFor names the snapshot file for a job key inside dir.
 func PathFor(dir, key string) string { return filepath.Join(dir, key+Suffix) }
 
-// Encode writes the three-line snapshot format to w.
-func Encode(w io.Writer, meta Meta, st *State) error {
+// EncodeToBytes encodes a snapshot into a fresh buffer: the header line,
+// the binary payload and the checksum trailer.
+func EncodeToBytes(meta Meta, st *State) ([]byte, error) {
 	head, err := json.Marshal(meta)
 	if err != nil {
-		return fmt.Errorf("snapshot: encoding header: %w", err)
+		return nil, fmt.Errorf("snapshot: encoding header: %w", err)
 	}
-	body, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("snapshot: encoding state: %w", err)
+	buf := make([]byte, 0, 1<<20)
+	buf = append(append(buf, head...), '\n')
+	if buf, err = encodePayload(buf, st); err != nil {
+		return nil, fmt.Errorf("snapshot: encoding state: %w", err)
 	}
-	h := sha256.New()
-	h.Write(head)
-	h.Write([]byte("\n"))
-	h.Write(body)
-	h.Write([]byte("\n"))
-	trailer, err := json.Marshal(struct {
-		SHA256 string `json:"sha256"`
-	}{hex.EncodeToString(h.Sum(nil))})
-	if err != nil {
-		return fmt.Errorf("snapshot: encoding trailer: %w", err)
-	}
-	for _, line := range [][]byte{head, body, trailer} {
-		if _, err := w.Write(line); err != nil {
-			return fmt.Errorf("snapshot: writing: %w", err)
-		}
-		if _, err := w.Write([]byte("\n")); err != nil {
-			return fmt.Errorf("snapshot: writing: %w", err)
-		}
-	}
-	return nil
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...), nil
 }
 
-// Decode reads and verifies the three-line snapshot format. Checksum or
-// parse failures wrap ErrCorrupt; schema/version skew wraps ErrVersion.
+// Decode reads a whole snapshot from r and verifies it: the checksum
+// trailer first, then the header, then the payload. Damage and parse
+// failures wrap ErrCorrupt; a file of another schema or version — including
+// an intact file in the three-JSON-line layout of versions 1 and 2 — wraps
+// ErrVersion.
 func Decode(r io.Reader) (Meta, *State, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
-	line := func(what string) ([]byte, error) {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return nil, fmt.Errorf("snapshot: reading %s: %w (%w)", what, err, ErrCorrupt)
-			}
-			return nil, fmt.Errorf("snapshot: missing %s line: %w", what, ErrCorrupt)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return Meta{}, nil, fmt.Errorf("snapshot: reading: %w (%w)", err, ErrCorrupt)
+	}
+	return decode(data)
+}
+
+// decode is Decode over the file's bytes.
+func decode(data []byte) (Meta, *State, error) {
+	n := len(data) - sha256.Size
+	if n < 0 || sha256.Sum256(data[:n]) != [sha256.Size]byte(data[n:]) {
+		if meta, ok := legacyHeader(data); ok {
+			return Meta{}, nil, fmt.Errorf("snapshot: file is %s/v%d in the JSON-line layout, this binary reads %s/v%d: %w",
+				meta.Schema, meta.Version, Schema, Version, ErrVersion)
 		}
-		return append([]byte(nil), sc.Bytes()...), nil
+		return Meta{}, nil, fmt.Errorf("snapshot: checksum mismatch over %d bytes: %w", len(data), ErrCorrupt)
 	}
-	head, err := line("header")
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	body, err := line("payload")
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	tail, err := line("checksum")
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	var trailer struct {
-		SHA256 string `json:"sha256"`
-	}
-	if err := json.Unmarshal(tail, &trailer); err != nil {
-		return Meta{}, nil, fmt.Errorf("snapshot: unreadable checksum line: %w", ErrCorrupt)
-	}
-	h := sha256.New()
-	h.Write(head)
-	h.Write([]byte("\n"))
-	h.Write(body)
-	h.Write([]byte("\n"))
-	if got := hex.EncodeToString(h.Sum(nil)); got != trailer.SHA256 {
-		return Meta{}, nil, fmt.Errorf("snapshot: checksum mismatch (file %s, computed %s): %w",
-			trailer.SHA256, got, ErrCorrupt)
+	nl := bytes.IndexByte(data[:n], '\n')
+	if nl < 0 {
+		return Meta{}, nil, fmt.Errorf("snapshot: missing header line: %w", ErrCorrupt)
 	}
 	var meta Meta
-	if err := json.Unmarshal(head, &meta); err != nil {
+	if err := json.Unmarshal(data[:nl], &meta); err != nil {
 		return Meta{}, nil, fmt.Errorf("snapshot: unreadable header: %w", ErrCorrupt)
 	}
 	if meta.Schema != Schema || meta.Version != Version {
 		return Meta{}, nil, fmt.Errorf("snapshot: file is %s/v%d, this binary reads %s/v%d: %w",
 			meta.Schema, meta.Version, Schema, Version, ErrVersion)
 	}
-	st := new(State)
-	if err := json.Unmarshal(body, st); err != nil {
-		return Meta{}, nil, fmt.Errorf("snapshot: unreadable state: %w", ErrCorrupt)
+	st, err := decodePayload(data[nl+1 : n])
+	if err != nil {
+		return Meta{}, nil, err
 	}
 	return meta, st, nil
+}
+
+// legacyHeader recognises an intact file in the layout of format versions
+// 1 and 2 — three JSON lines: header, payload, {"sha256":"<hex>"} over the
+// first two lines with their newlines — and returns its header.
+func legacyHeader(data []byte) (Meta, bool) {
+	lines := bytes.SplitN(data, []byte("\n"), 4)
+	if len(lines) < 3 || (len(lines) == 4 && len(lines[3]) != 0) {
+		return Meta{}, false
+	}
+	var trailer struct {
+		SHA256 string `json:"sha256"`
+	}
+	if json.Unmarshal(lines[2], &trailer) != nil {
+		return Meta{}, false
+	}
+	sum := sha256.Sum256(data[:len(lines[0])+len(lines[1])+2])
+	var meta Meta
+	if hex.EncodeToString(sum[:]) != trailer.SHA256 || json.Unmarshal(lines[0], &meta) != nil {
+		return Meta{}, false
+	}
+	return meta, true
 }
 
 // Write atomically replaces the snapshot at path: the bytes go to a temp
@@ -178,6 +174,10 @@ func Write(path string, meta Meta, st *State, plane *faultinject.Plane) error {
 	if _, ok := plane.Fire(faultinject.SnapshotWrite, meta.Key); ok {
 		return fmt.Errorf("snapshot: injected write failure (key %s)", meta.Key)
 	}
+	b, err := EncodeToBytes(meta, st)
+	if err != nil {
+		return err
+	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: creating dir: %w", err)
@@ -187,14 +187,9 @@ func Write(path string, meta Meta, st *State, plane *faultinject.Plane) error {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	if err := Encode(w, meta, st); err != nil {
+	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("snapshot: %w", err)
+		return fmt.Errorf("snapshot: writing: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -213,15 +208,14 @@ func Write(path string, meta Meta, st *State, plane *faultinject.Plane) error {
 // (Meta{}, nil, nil) — no snapshot is not an error, it just means a
 // from-zero start. Damage wraps ErrCorrupt; skew wraps ErrVersion.
 func Read(path string) (Meta, *State, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return Meta{}, nil, nil
 		}
 		return Meta{}, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	defer f.Close()
-	return Decode(f)
+	return decode(data)
 }
 
 // Quarantine moves a damaged snapshot aside to <path>.corrupt so the job
@@ -278,13 +272,4 @@ func ScanDir(dir string) (DirInfo, error) {
 		}
 	}
 	return info, nil
-}
-
-// EncodeToBytes is Encode into a fresh buffer, for tests and digests.
-func EncodeToBytes(meta Meta, st *State) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, meta, st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
