@@ -20,17 +20,12 @@ package csalt
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	runtimedebug "runtime/debug"
-	"sync"
 
 	"github.com/csalt-sim/csalt/internal/cache"
-	"github.com/csalt-sim/csalt/internal/checkpoint"
 	"github.com/csalt-sim/csalt/internal/core"
+	"github.com/csalt-sim/csalt/internal/experiment"
 	"github.com/csalt-sim/csalt/internal/sim"
-	"github.com/csalt-sim/csalt/internal/snapshot"
 	"github.com/csalt-sim/csalt/internal/workload"
 )
 
@@ -92,9 +87,10 @@ func Run(cfg Config) (*Results, error) {
 
 // RunContext is Run with cooperative cancellation: the simulation polls
 // ctx every few hundred steps and returns ctx.Err() (wrapped) once
-// cancelled, so SIGINT-driven shutdowns stop a long run promptly.
+// cancelled, so SIGINT-driven shutdowns stop a long run promptly. A panic
+// inside the simulator surfaces as the run's error, not a process crash.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
-	return runOne(ctx, cfg, ManyOpts{})
+	return experiment.NewRunner(experiment.Scale{}).RunContext(ctx, cfg)
 }
 
 // ManyOpts configures RunManyContext beyond the per-run Config: knobs
@@ -126,90 +122,6 @@ type ManyOpts struct {
 	SnapshotEvery uint64
 }
 
-// runOne executes a single configuration with panic isolation: a panic
-// inside the simulator surfaces as this run's error, not a process crash.
-func runOne(ctx context.Context, cfg Config, o ManyOpts) (res *Results, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			stack := runtimedebug.Stack()
-			if len(stack) > 4<<10 {
-				stack = stack[:4<<10]
-			}
-			err = fmt.Errorf("csalt: simulation panicked: %v\n%s", p, stack)
-		}
-	}()
-	s, clear, err := buildSystem(cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	if o.StallLimitCycles > 0 {
-		s.SetStallLimit(o.StallLimitCycles)
-	}
-	if o.CheckInvariants {
-		s.EnableInvariantChecks(0)
-	}
-	res, err = s.RunContext(ctx)
-	if err == nil {
-		clear()
-	}
-	return res, err
-}
-
-// buildSystem constructs the run's system — restored from a valid mid-run
-// snapshot when SnapshotDir holds one for this configuration, fresh
-// otherwise — and returns the cleanup that removes the snapshot once the
-// run completes. Damage of any kind (unreadable bytes, checksum, version
-// or key mismatch, failed restore verification) quarantines the file and
-// falls back to a from-zero start.
-func buildSystem(cfg Config, o ManyOpts) (*sim.System, func(), error) {
-	none := func() {}
-	if o.SnapshotDir == "" {
-		s, err := sim.New(cfg)
-		return s, none, err
-	}
-	key, err := checkpoint.KeyOf(cfg)
-	if err != nil {
-		return nil, none, err
-	}
-	path := snapshot.PathFor(o.SnapshotDir, key)
-	var s *sim.System
-	if meta, st, rerr := snapshot.Read(path); rerr != nil {
-		snapshot.Quarantine(path) //nolint:errcheck
-	} else if st != nil && meta.Key == key {
-		if restored, rerr := sim.RestoreSystem(cfg, st); rerr == nil {
-			s = restored
-		} else {
-			snapshot.Quarantine(path) //nolint:errcheck
-		}
-	}
-	if s == nil {
-		if s, err = sim.New(cfg); err != nil {
-			return nil, none, err
-		}
-	}
-	s.EnableSnapshots(&fileSink{path: path, key: key}, o.SnapshotEvery)
-	return s, func() { snapshot.Remove(path) }, nil //nolint:errcheck
-}
-
-// fileSink persists one run's snapshots to its keyed slot, fail-open: a
-// failed write degrades the run to snapshot-free operation rather than
-// failing it.
-type fileSink struct {
-	path, key string
-	seq       uint64
-}
-
-func (k *fileSink) WriteSnapshot(st *snapshot.State, steps uint64) error {
-	meta := snapshot.Meta{
-		Schema: snapshot.Schema, Version: snapshot.Version,
-		Key: k.key, Seq: k.seq, Steps: steps,
-	}
-	if err := snapshot.Write(k.path, meta, st, nil); err == nil {
-		k.seq++
-	}
-	return nil
-}
-
 // RunMany executes several independent configurations across a bounded
 // worker pool and returns their results in input order; see
 // RunManyContext for the failure semantics.
@@ -221,7 +133,8 @@ func RunMany(cfgs []Config, parallel int) ([]*Results, error) {
 // bounded worker pool and returns their results in input order. Each
 // simulation owns its entire world, so runs neither share state nor
 // perturb each other; results are deterministic per configuration
-// regardless of parallelism.
+// regardless of parallelism. A configuration repeated in cfgs is simulated
+// once and its slots share one *Results.
 //
 // Failures are isolated and aggregated: a panicking or failing
 // configuration nils only its own result slot, every other configuration
@@ -231,54 +144,26 @@ func RunMany(cfgs []Config, parallel int) ([]*Results, error) {
 // skipped with their slots left nil, and the cancellation is included in
 // the joined error.
 func RunManyContext(ctx context.Context, cfgs []Config, o ManyOpts) ([]*Results, error) {
+	r := experiment.NewRunner(experiment.Scale{})
+	r.StallLimit = o.StallLimitCycles
+	r.CheckInvariants = o.CheckInvariants
+	r.SnapshotDir = o.SnapshotDir
+	r.SnapshotEvery = o.SnapshotEvery
+	jobs := make([]experiment.Job, len(cfgs))
+	for i, cfg := range cfgs {
+		// The job's owner heads its label, so each failure names its index.
+		jobs[i] = experiment.Job{Config: cfg, Experiments: []string{fmt.Sprintf("csalt: configuration %d", i)}}
+	}
+	eng := &experiment.Engine{Runner: r, Workers: o.Parallel, KeepGoing: true}
+	err := eng.ExecuteContext(ctx, jobs)
 	results := make([]*Results, len(cfgs))
-	if len(cfgs) == 0 {
-		return results, nil
+	for i, cfg := range cfgs {
+		if r.Cached(cfg) && r.FailureOf(cfg) == nil {
+			// A settled success: Run recalls it from the memo, error-free.
+			results[i], _ = r.Run(cfg)
+		}
 	}
-	parallel := o.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(cfgs) {
-		parallel = len(cfgs)
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-	)
-	idx := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue
-				}
-				res, err := runOne(ctx, cfgs[i], o)
-				if err != nil {
-					if errors.Is(err, context.Canceled) {
-						continue // interrupted, not failed
-					}
-					mu.Lock()
-					errs = append(errs, fmt.Errorf("csalt: configuration %d (%s): %w", i, cfgs[i].Mix.ID, err))
-					mu.Unlock()
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range cfgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, fmt.Errorf("csalt: sweep interrupted: %w", err))
-	}
-	return results, errors.Join(errs...)
+	return results, err
 }
 
 // Mixes returns the paper's ten workload compositions in x-axis order.

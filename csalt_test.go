@@ -1,6 +1,19 @@
 package csalt
 
-import "testing"
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/csalt-sim/csalt/internal/checkpoint"
+	"github.com/csalt-sim/csalt/internal/sim"
+	"github.com/csalt-sim/csalt/internal/snapshot"
+)
 
 // facadeConfig returns a seconds-fast configuration for facade tests.
 func facadeConfig() Config {
@@ -33,6 +46,169 @@ func TestRunFacadeRejectsBadConfig(t *testing.T) {
 	cfg.Cores = 0
 	if _, err := Run(cfg); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// sameResults fails t unless a and b encode to the same JSON (float NaNs
+// make reflect.DeepEqual unusable on Results).
+func sameResults(t *testing.T, what string, a, b *Results) {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja, jb) {
+		t.Errorf("%s: results differ", what)
+	}
+}
+
+// manyConfigs returns three distinct fast configurations.
+func manyConfigs() []Config {
+	a, b, c := facadeConfig(), facadeConfig(), facadeConfig()
+	b.Mix = HomogeneousMix(CComp)
+	c.Scheme = SchemeCSALTCD
+	return []Config{a, b, c}
+}
+
+func TestRunManyContextOrderMatchesRun(t *testing.T) {
+	cfgs := manyConfigs()
+	got, err := RunManyContext(context.Background(), cfgs, ManyOpts{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cfgs) {
+		t.Fatalf("len = %d, want %d", len(got), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, cfg.Mix.ID+"/"+cfg.Scheme.String(), got[i], want)
+	}
+}
+
+func TestRunManyContextIsolatesInvalidConfig(t *testing.T) {
+	cfgs := manyConfigs()
+	cfgs[1].Cores = 0
+	got, err := RunManyContext(context.Background(), cfgs, ManyOpts{Parallel: 2})
+	if err == nil {
+		t.Fatal("invalid configuration accepted")
+	}
+	if got[1] != nil {
+		t.Error("failed configuration has a result")
+	}
+	if got[0] == nil || got[2] == nil {
+		t.Error("a healthy configuration did not run")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "configuration 1") || !strings.Contains(msg, cfgs[1].Mix.ID) {
+		t.Errorf("error does not name index 1 and mix %q: %v", cfgs[1].Mix.ID, err)
+	}
+	if strings.Contains(err.Error(), "configuration 0") || strings.Contains(err.Error(), "configuration 2") {
+		t.Errorf("error names a healthy configuration: %v", err)
+	}
+}
+
+func TestRunManyContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, err := RunManyContext(ctx, manyConfigs(), ManyOpts{Parallel: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for i, res := range got {
+		if res != nil {
+			t.Errorf("slot %d filled after cancellation", i)
+		}
+	}
+}
+
+func TestRunManyContextRepeatedConfigSharesResults(t *testing.T) {
+	cfg := facadeConfig()
+	got, err := RunManyContext(context.Background(), []Config{cfg, cfg}, ManyOpts{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] == nil || got[0] != got[1] {
+		t.Errorf("repeated configuration not simulated once: %p, %p", got[0], got[1])
+	}
+}
+
+func TestRunManyContextSnapshotDirLeftEmpty(t *testing.T) {
+	dir := t.TempDir()
+	cfgs := manyConfigs()
+	got, err := RunManyContext(context.Background(), cfgs, ManyOpts{
+		Parallel: 2, SnapshotDir: dir, SnapshotEvery: 5_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range got {
+		if res == nil {
+			t.Errorf("slot %d empty", i)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		t.Errorf("finished sweep left %s behind", e.Name())
+	}
+}
+
+// TestRunManyContextQuarantinesDamagedSnapshot plants an unreadable file
+// and a valid snapshot of another configuration in a run's slot: each must
+// be moved aside to .corrupt, and the run must match a snapshot-free one.
+func TestRunManyContextQuarantinesDamagedSnapshot(t *testing.T) {
+	cfg := facadeConfig()
+	key, err := checkpoint.KeyOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := func(path string) error {
+		other := cfg
+		other.Seed++
+		sys, err := sim.New(other)
+		if err != nil {
+			return err
+		}
+		st, err := sys.Snapshot()
+		if err != nil {
+			return err
+		}
+		meta := snapshot.Meta{Schema: snapshot.Schema, Version: snapshot.Version, Key: "foreign"}
+		return snapshot.Write(path, meta, st, nil)
+	}
+	for name, plant := range map[string]func(path string) error{
+		"damaged": func(path string) error { return os.WriteFile(path, []byte("not a snapshot\n"), 0o600) },
+		"foreign": foreign,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := snapshot.PathFor(t.TempDir(), key)
+			if err := plant(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunManyContext(context.Background(), []Config{cfg}, ManyOpts{SnapshotDir: filepath.Dir(path)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Errorf("planted snapshot not quarantined: %v", err)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("snapshot slot still present after completion: %v", err)
+			}
+			sameResults(t, name, got[0], want)
+		})
 	}
 }
 

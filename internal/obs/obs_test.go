@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"github.com/csalt-sim/csalt/internal/stats"
 )
 
 func TestRegistrySnapshotReadsLiveValues(t *testing.T) {
@@ -27,42 +25,6 @@ func TestRegistrySnapshotReadsLiveValues(t *testing.T) {
 	}
 	if same := r.Group("tlb.l2tlb0"); same != g {
 		t.Fatal("Group must return the existing group on re-lookup")
-	}
-}
-
-func TestRegistryDelta(t *testing.T) {
-	r := NewRegistry()
-	var count uint64
-	var h stats.Log2Histogram
-	g := r.Group("dram.ddr")
-	g.Counter("accesses", func() uint64 { return count })
-	g.Histogram("queue_wait", &h)
-
-	count = 5
-	h.Observe(3)
-	before := r.Snapshot()
-	count = 12
-	h.Observe(3)
-	h.Observe(100)
-	after := r.Snapshot()
-
-	d := Delta(after, before)
-	if got := d["dram.ddr"]["accesses"]; got != float64(7) {
-		t.Fatalf("delta accesses = %v, want 7", got)
-	}
-	dh, ok := d["dram.ddr"]["queue_wait"].(HistSnapshot)
-	if !ok {
-		t.Fatalf("delta histogram has type %T", d["dram.ddr"]["queue_wait"])
-	}
-	if dh.Total != 2 || dh.Sum != 103 {
-		t.Fatalf("delta hist total=%d sum=%d, want 2, 103", dh.Total, dh.Sum)
-	}
-	var counted uint64
-	for _, b := range dh.Buckets {
-		counted += b.Count
-	}
-	if counted != 2 {
-		t.Fatalf("delta buckets hold %d samples, want 2", counted)
 	}
 }
 
@@ -285,5 +247,30 @@ func TestParseFormat(t *testing.T) {
 	}
 	if _, err := ParseFormat("xml"); err == nil {
 		t.Fatal("xml accepted")
+	}
+}
+
+func TestSamplerNotifySeesEveryOfferedRow(t *testing.T) {
+	s := NewSampler([]string{"a"}, 4)
+	var seen int
+	s.SetNotify(func(row []float64) {
+		seen++
+		if len(row) != 1 {
+			t.Fatalf("notify row has %d cols, want 1", len(row))
+		}
+	})
+	for i := 0; i < 20; i++ {
+		s.Offer([]float64{float64(i)})
+	}
+	if seen != 20 {
+		t.Fatalf("notify saw %d rows, want all 20 offered (stride must not filter the subscription)", seen)
+	}
+	if s.Len() >= 20 {
+		t.Fatalf("sampler stored %d rows, expected downsampling below 20", s.Len())
+	}
+	s.SetNotify(nil)
+	s.Offer([]float64{99})
+	if seen != 20 {
+		t.Fatal("nil notify must remove the subscription")
 	}
 }

@@ -188,67 +188,6 @@ func snapshotHist(h *stats.Log2Histogram) HistSnapshot {
 	return hs
 }
 
-// Delta returns cur − prev: scalar metrics are subtracted, histograms are
-// diffed bucket-wise (totals, sums and counts), and groups or metrics
-// absent from prev pass through unchanged. It supports before/after
-// interval reporting without resetting any live counter.
-//
-// Delta preserves cur's key set exactly: every group, metric and histogram
-// bucket present in the full snapshot appears in the delta, including
-// zero-valued entries. Interval consumers (Prometheus scrapes, epoch
-// diffing) therefore see a stable series set — a counter that did not move
-// between snapshots reports 0 rather than disappearing.
-func Delta(cur, prev Snapshot) Snapshot {
-	out := make(Snapshot, len(cur))
-	for gname, metrics := range cur {
-		pm := prev[gname]
-		dm := make(map[string]interface{}, len(metrics))
-		for name, v := range metrics {
-			pv, ok := pm[name]
-			if !ok {
-				dm[name] = v
-				continue
-			}
-			switch cv := v.(type) {
-			case float64:
-				if pf, ok := pv.(float64); ok {
-					dm[name] = cv - pf
-				} else {
-					dm[name] = cv
-				}
-			case HistSnapshot:
-				if ph, ok := pv.(HistSnapshot); ok {
-					dm[name] = deltaHist(cv, ph)
-				} else {
-					dm[name] = cv
-				}
-			default:
-				dm[name] = v
-			}
-		}
-		out[gname] = dm
-	}
-	return out
-}
-
-func deltaHist(cur, prev HistSnapshot) HistSnapshot {
-	prevCount := make(map[uint64]uint64, len(prev.Buckets))
-	for _, b := range prev.Buckets {
-		prevCount[b.Lo] = b.Count
-	}
-	d := HistSnapshot{Total: cur.Total - prev.Total, Sum: cur.Sum - prev.Sum}
-	if d.Total > 0 {
-		d.Mean = float64(d.Sum) / float64(d.Total)
-	}
-	// Emit every bucket the full snapshot has — zero deltas included — so
-	// the delta's bucket key set matches cur's (counters are monotone, so
-	// cur's buckets are a superset of prev's).
-	for _, b := range cur.Buckets {
-		d.Buckets = append(d.Buckets, BucketExport{Lo: b.Lo, Hi: b.Hi, Count: b.Count - prevCount[b.Lo]})
-	}
-	return d
-}
-
 // WriteJSON writes the snapshot as indented JSON with deterministic key
 // order.
 func (s Snapshot) WriteJSON(w io.Writer) error {

@@ -209,21 +209,3 @@ func (t *Table) Walk(v mem.VAddr, steps []Step) ([]Step, mem.PAddr, mem.PageSize
 	}
 	return steps, 0, 0, false
 }
-
-// NodeFrameAt returns the frame address of the interior node that a walk
-// for v reaches at the given level, or false if the path is not populated
-// that deep. The walker's MMU caches (PSC) use it to skip upper levels.
-func (t *Table) NodeFrameAt(v mem.VAddr, level int) (mem.PAddr, bool) {
-	if level >= t.levels || level < 1 {
-		return 0, false
-	}
-	n := t.root
-	for l := t.levels; l > level; l-- {
-		e := n.entries[index(v, l)]
-		if !e.present || e.leaf {
-			return 0, false
-		}
-		n = t.nodes[e.next]
-	}
-	return n.frame, true
-}

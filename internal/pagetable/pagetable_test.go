@@ -172,33 +172,6 @@ func TestNodeSharing(t *testing.T) {
 	}
 }
 
-func TestNodeFrameAt(t *testing.T) {
-	tbl, _ := newTable(t, 4)
-	v := mem.VAddr(0x7f0000123000)
-	if err := tbl.Map(v, 0x8000, mem.Page4K); err != nil {
-		t.Fatal(err)
-	}
-	steps, _, _, _ := tbl.Walk(v, nil)
-	// The node frame at level L is the frame containing the step-PTE for
-	// level L.
-	for _, want := range []int{3, 2, 1} {
-		frame, ok := tbl.NodeFrameAt(v, want)
-		if !ok {
-			t.Fatalf("NodeFrameAt(%d) missing", want)
-		}
-		pte := steps[4-want].Addr
-		if pte < frame || pte >= frame+mem.PageSize4K {
-			t.Errorf("level %d: PTE %#x not in node frame %#x", want, pte, frame)
-		}
-	}
-	if _, ok := tbl.NodeFrameAt(v, 4); ok {
-		t.Error("NodeFrameAt(levels) should be false")
-	}
-	if _, ok := tbl.NodeFrameAt(0xdeadbeef000, 1); ok {
-		t.Error("NodeFrameAt on unmapped path should be false")
-	}
-}
-
 // TestWalkMatchesLookup: Walk and Lookup agree for arbitrary map/lookup
 // sequences.
 func TestWalkMatchesLookup(t *testing.T) {

@@ -60,7 +60,6 @@ type Config struct {
 	Scheme         core.Scheme // partitioning of L2/L3 data caches
 	DIP            bool        // DIP insertion atop the current org
 	StaticDataFrac float64     // data fraction for Scheme == Static (default 0.5)
-	L3Only         bool        // partition only the shared L3, leaving private L2s unmanaged
 	// SharedL2TLB replaces the per-core L2 TLBs with a single shared one
 	// of the same total capacity — the "shared last-level TLB" design the
 	// paper cites as orthogonal related work (§6); exposed as an ablation.
@@ -87,13 +86,6 @@ type Config struct {
 	// the paper's 10-billion-instruction steady state. Caches and
 	// hardware TLBs always start cold.
 	NoPrewarm bool
-	// NoMMUCacheScaling disables the default behaviour of scaling the
-	// walker's PSC and nested-TLB entry counts by Scale. Scaling them is
-	// part of the footprint-scaling methodology: a 0.25x footprint spans
-	// 0.25x as many 2 MB regions, so full-size PSCs would be relatively
-	// 4x larger than on the paper's platform and walks unrealistically
-	// cheap. At Scale >= 1 this flag has no effect.
-	NoMMUCacheScaling bool
 
 	// TraceDir, when set, replaces the synthetic generators with recorded
 	// binary traces (cmd/tracegen format): context j of core i replays

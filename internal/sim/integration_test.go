@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/csalt-sim/csalt/internal/cache"
 	"github.com/csalt-sim/csalt/internal/core"
 	"github.com/csalt-sim/csalt/internal/mem"
 	"github.com/csalt-sim/csalt/internal/trace"
@@ -249,24 +248,6 @@ func TestWritebacksReachDRAM(t *testing.T) {
 	}
 	if sys.Mem().ddr.Stats.Writes.Value() == 0 {
 		t.Error("no DRAM writes observed")
-	}
-}
-
-// TestL3OnlyLeavesL2Unpartitioned: the L3Only knob must not partition the
-// private L2s.
-func TestL3OnlyLeavesL2Unpartitioned(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Scheme = core.Dynamic
-	cfg.L3Only = true
-	sys := MustNew(cfg)
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Mem().l2[0].Partition(); got != cache.Unpartitioned {
-		t.Errorf("L2 partition = %d under L3Only", got)
-	}
-	if sys.Mem().l3.Partition() == cache.Unpartitioned {
-		t.Error("L3 unpartitioned under L3Only dynamic scheme")
 	}
 }
 

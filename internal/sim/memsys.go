@@ -158,13 +158,9 @@ func newMemSystem(cfg Config) (*memSystem, error) {
 	m.l3 = l3
 
 	// Partition controllers.
-	l2Scheme := cfg.Scheme
-	if cfg.L3Only {
-		l2Scheme = core.None
-	}
 	for i := 0; i < cfg.Cores; i++ {
 		ctl, err := core.NewController(m.l2[i], core.Config{
-			Scheme:        l2Scheme,
+			Scheme:        cfg.Scheme,
 			EpochLen:      cfg.EpochLen,
 			StaticN:       staticWays(cfg.StaticDataFrac, m.l2[i].Ways()),
 			Weights:       &levelWeights{m: m, level: 2},
@@ -202,10 +198,12 @@ func newMemSystem(cfg Config) (*memSystem, error) {
 
 	// One walker per core (private MMU), sharing the memory port. The
 	// PSC/nested-TLB reach scales with the footprint scale so that
-	// page-table pressure matches the paper's platform (see Config).
+	// page-table pressure matches the paper's platform: a 0.25x footprint
+	// spans 0.25x as many 2 MB regions, so full-size PSCs would be
+	// relatively 4x larger and walks unrealistically cheap.
 	wcfg := walker.DefaultConfig()
 	wcfg.DisablePSC = cfg.DisablePSC
-	if !cfg.NoMMUCacheScaling && cfg.Scale < 1 {
+	if cfg.Scale < 1 {
 		scaleEntries := func(n int) int {
 			m := int(float64(n)*cfg.Scale + 0.5)
 			if m < 1 {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Counter is a monotonically increasing event count. It is a plain uint64
@@ -156,53 +155,6 @@ func (r *RunningMean) Mean() float64 {
 
 // Reset forgets all samples.
 func (r *RunningMean) Reset() { r.n, r.sum = 0, 0 }
-
-// Histogram is a fixed-bucket histogram over uint64 samples; bucket i counts
-// samples in [bounds[i-1], bounds[i]). It backs the distribution-style
-// diagnostics (walk lengths, stack distances) in the test suite.
-type Histogram struct {
-	bounds []uint64
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds.
-// A final overflow bucket is added implicitly.
-func NewHistogram(bounds ...uint64) *Histogram {
-	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
-		panic("stats: histogram bounds must be ascending")
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(x uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return x < h.bounds[i] })
-	h.counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples observed.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Bucket returns the count in bucket i (the last index is the overflow
-// bucket).
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// NumBuckets returns the number of buckets including overflow.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
-// String renders the histogram compactly for debugging.
-func (h *Histogram) String() string {
-	s := ""
-	prev := uint64(0)
-	for i, b := range h.bounds {
-		s += fmt.Sprintf("[%d,%d):%d ", prev, b, h.counts[i])
-		prev = b
-	}
-	s += fmt.Sprintf("[%d,+inf):%d", prev, h.counts[len(h.bounds)])
-	return s
-}
 
 // Log2Histogram is a power-of-two-bucketed histogram over uint64 samples:
 // bucket 0 counts zeros and bucket i (i >= 1) counts samples in

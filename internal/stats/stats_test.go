@@ -112,45 +112,14 @@ func TestRunningMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 100)
-	for _, x := range []uint64{0, 9, 10, 99, 100, 5000} {
-		h.Observe(x)
-	}
-	want := []uint64{2, 2, 2}
-	for i, w := range want {
-		if got := h.Bucket(i); got != w {
-			t.Errorf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-	if h.NumBuckets() != 3 {
-		t.Errorf("NumBuckets = %d, want 3", h.NumBuckets())
-	}
-	if s := h.String(); !strings.Contains(s, "[10,100):2") {
-		t.Errorf("String = %q, missing middle bucket", s)
-	}
-}
-
-func TestHistogramPanicsOnUnsortedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on unsorted bounds")
-		}
-	}()
-	NewHistogram(100, 10)
-}
-
 func TestHistogramTotalMatchesBuckets(t *testing.T) {
 	f := func(samples []uint64) bool {
-		h := NewHistogram(16, 256, 4096)
+		var h Log2Histogram
 		var sum uint64
 		for _, s := range samples {
 			h.Observe(s)
 		}
-		for i := 0; i < h.NumBuckets(); i++ {
+		for i := 0; i < 65; i++ {
 			sum += h.Bucket(i)
 		}
 		return sum == h.Total() && h.Total() == uint64(len(samples))

@@ -6,8 +6,8 @@
 // The paper drives its simulator with Pin-collected timed traces played back
 // with a 10 ms context-switch interleave (§4.2). Here traces come either
 // from the synthetic generators in internal/workload or from binary trace
-// files (cmd/tracegen); the Interleaver below reproduces the context-switch
-// playback.
+// files (cmd/tracegen); each context keeps its own Source, and internal/cpu
+// performs the context-switch playback in simulated cycles.
 package trace
 
 import (

@@ -202,82 +202,3 @@ func TestReaderRejectsBadKind(t *testing.T) {
 		t.Error("expected non-nil Err for bad kind")
 	}
 }
-
-func TestInterleaverQuantum(t *testing.T) {
-	a := NewSliceSource([]Record{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}})
-	b := NewSliceSource([]Record{{Addr: 101}, {Addr: 102}, {Addr: 103}, {Addr: 104}})
-	// Each record is 1 instruction (NonMem=0); quantum 2 => switch every 2.
-	iv := NewInterleaver(2, a, b)
-	var got []mem.VAddr
-	for {
-		r, ok := iv.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r.Addr)
-	}
-	want := []mem.VAddr{1, 2, 101, 102, 3, 4, 103, 104}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if iv.Switches < 3 {
-		t.Errorf("Switches = %d, want >= 3", iv.Switches)
-	}
-}
-
-func TestInterleaverSkipsExhausted(t *testing.T) {
-	a := NewSliceSource([]Record{{Addr: 1}})
-	b := NewSliceSource([]Record{{Addr: 101}, {Addr: 102}, {Addr: 103}})
-	iv := NewInterleaver(1, a, b)
-	var got []mem.VAddr
-	for {
-		r, ok := iv.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r.Addr)
-	}
-	// a:1, b:101, then a is done so b runs out its records.
-	want := []mem.VAddr{1, 101, 102, 103}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestInterleaverRespectsNonMemInQuantum(t *testing.T) {
-	// First record alone fills the quantum of 5 (4 nonmem + 1 mem).
-	a := NewSliceSource([]Record{{Addr: 1, NonMem: 4}, {Addr: 2}})
-	b := NewSliceSource([]Record{{Addr: 101}})
-	iv := NewInterleaver(5, a, b)
-	r1, _ := iv.Next()
-	r2, _ := iv.Next()
-	if r1.Addr != 1 || r2.Addr != 101 {
-		t.Errorf("got %v then %v, want 1 then 101", r1.Addr, r2.Addr)
-	}
-}
-
-func TestInterleaverPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"no sources":   func() { NewInterleaver(1) },
-		"zero quantum": func() { NewInterleaver(0, NewSliceSource(nil)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -11,7 +11,6 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/csalt-sim/csalt/internal/mem"
 	"github.com/csalt-sim/csalt/internal/trace"
@@ -60,7 +59,6 @@ func (p Params) scaled(n uint64) uint64 {
 // The built-in values were calibrated against the paper's reported shapes:
 // L2 TLB MPKI ratios under context switching (Fig. 1), native-vs-virtualized
 // walk cost (Table 1), and cache occupancy of translation entries (Fig. 3).
-// GetTuning/SetTuning let callers (and the calibration sweeps) adjust them.
 type Tuning struct {
 	PagesTotal uint64  // private footprint, in 4K pages
 	HotPages   uint64  // drifting hot-window size, in pages
@@ -122,18 +120,16 @@ type Tuning struct {
 	RandomLine bool
 }
 
-// profMu guards profiles: the parallel experiment engine constructs
-// generators from many goroutines at once, and calibration sweeps may
-// retune between runs. Generators themselves copy their Tuning at
-// construction and are single-owner thereafter.
-var profMu sync.RWMutex
-
 // profiles holds the per-benchmark calibration. Footprints are per thread;
 // with 8 threads per VM the totals land in the multi-hundred-MB range the
 // paper's "large footprint" workloads occupy, scaled to simulator run
 // lengths. The hot windows are sized against the 1536-entry L2 TLB: one
 // context's hot set mostly fits, two contexts' do not — which is exactly
 // the mechanism behind the paper's >6x context-switch MPKI blow-up.
+//
+// The table is read-only: a run's Config names its benchmarks but does not
+// carry their tuning, so changing it at run time would silently invalidate
+// memo and checkpoint keys.
 var profiles = map[Name]Tuning{
 	// gups: uniform random updates over a huge sparse table; almost no
 	// locality, so its TLB MPKI is enormous even without context switches
@@ -195,51 +191,13 @@ var profiles = map[Name]Tuning{
 	},
 }
 
-// GetTuning returns a benchmark's current generator calibration.
+// GetTuning returns a benchmark's generator calibration.
 func GetTuning(n Name) (Tuning, error) {
-	profMu.RLock()
 	t, ok := profiles[n]
-	profMu.RUnlock()
 	if !ok {
 		return Tuning{}, fmt.Errorf("workload: unknown benchmark %q", n)
 	}
 	return t, nil
-}
-
-// SetTuning replaces a benchmark's generator calibration. Generators
-// constructed afterwards use the new values; existing generators are
-// unaffected. Safe for concurrent use, but note that retuning while a
-// parallel sweep is constructing generators makes it unpredictable which
-// runs see which calibration — retune between sweeps, not during them.
-func SetTuning(n Name, t Tuning) error {
-	profMu.Lock()
-	defer profMu.Unlock()
-	if _, ok := profiles[n]; !ok {
-		return fmt.Errorf("workload: unknown benchmark %q", n)
-	}
-	profiles[n] = t
-	return nil
-}
-
-// Profile reports footprint metadata for a benchmark; the simulator uses it
-// to size address spaces before building page tables.
-func Profile(n Name) (pagesTotal uint64, err error) {
-	t, err := GetTuning(n)
-	if err != nil {
-		return 0, err
-	}
-	return t.PagesTotal, nil
-}
-
-// FootprintBytes returns the per-thread footprint of benchmark n at the
-// given scale.
-func FootprintBytes(n Name, scale float64) (uint64, error) {
-	pages, err := Profile(n)
-	if err != nil {
-		return 0, err
-	}
-	p := Params{Scale: scale}
-	return p.scaled(pages) * mem.PageSize4K, nil
 }
 
 // New constructs the generator for benchmark n as an endless trace.Source.
@@ -264,12 +222,10 @@ func MustNew(n Name, p Params) trace.Source {
 
 // Names returns the sorted list of benchmark names as strings (CLI help).
 func Names() []string {
-	profMu.RLock()
 	out := make([]string, 0, len(profiles))
 	for n := range profiles {
 		out = append(out, string(n))
 	}
-	profMu.RUnlock()
 	sort.Strings(out)
 	return out
 }

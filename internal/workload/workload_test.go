@@ -82,8 +82,8 @@ func TestNewUnknownBenchmark(t *testing.T) {
 	if _, err := New("nosuch", Params{}); err == nil {
 		t.Error("expected error for unknown benchmark")
 	}
-	if _, err := Profile("nosuch"); err == nil {
-		t.Error("expected error for unknown profile")
+	if _, err := GetTuning("nosuch"); err == nil {
+		t.Error("expected error for unknown tuning")
 	}
 }
 
@@ -214,16 +214,16 @@ func TestScaleShrinksFootprint(t *testing.T) {
 	}
 }
 
+// TestFootprintBytes: a generator's footprint is its calibrated page count
+// at scale 1, and shrinks with the footprint scale.
 func TestFootprintBytes(t *testing.T) {
-	b, err := FootprintBytes(GUPS, 1)
-	if err != nil {
-		t.Fatal(err)
+	full := MustNew(GUPS, Params{Seed: 1, Scale: 1}).(*visitGen)
+	if b := full.pages * mem.PageSize4K; b != 49152*mem.PageSize4K {
+		t.Errorf("gups footprint at scale 1 = %d bytes", b)
 	}
-	if b != 49152*mem.PageSize4K {
-		t.Errorf("FootprintBytes(gups) = %d", b)
-	}
-	if _, err := FootprintBytes("nosuch", 1); err == nil {
-		t.Error("expected error")
+	quarter := MustNew(GUPS, Params{Seed: 1, Scale: 0.25}).(*visitGen)
+	if quarter.pages != 49152/4 {
+		t.Errorf("gups footprint at scale 0.25 = %d pages", quarter.pages)
 	}
 }
 
@@ -256,8 +256,8 @@ func TestMixes(t *testing.T) {
 
 func TestAllNamesHaveProfiles(t *testing.T) {
 	for _, n := range All() {
-		if _, err := Profile(n); err != nil {
-			t.Errorf("benchmark %q missing profile: %v", n, err)
+		if _, err := GetTuning(n); err != nil {
+			t.Errorf("benchmark %q missing tuning: %v", n, err)
 		}
 		if _, err := New(n, Params{}); err != nil {
 			t.Errorf("benchmark %q cannot be constructed: %v", n, err)
@@ -299,13 +299,7 @@ func TestWarmBurstClusters(t *testing.T) {
 	tn.PHot = 0    // disable the hot tier
 	tn.PHot2 = 1.0 // all visits go to the warm tier
 	tn.SeqRunLines = 0
-	orig, _ := GetTuning(Canneal)
-	if err := SetTuning(Canneal, tn); err != nil {
-		t.Fatal(err)
-	}
-	defer SetTuning(Canneal, orig)
-
-	src := MustNew(Canneal, Params{Seed: 9, Scale: 0.1})
+	src := newVisitGen(tn, Params{Seed: 9, Scale: 0.1})
 	// Count distinct pages over a run: bursts of 8 should cut the distinct
 	// page rate by ~8x vs the per-visit page count.
 	pages := map[uint64]bool{}
