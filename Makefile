@@ -92,13 +92,14 @@ fuzz:
 	$(GO) test ./internal/workload/ -fuzz FuzzGenerator -fuzztime 30s
 
 # Bounded fuzz pass over each structure oracle: random operation sequences
-# through a test-only model and the production TLB, POM-TLB and cache,
-# identical returns, counters and saved state required. Extend -fuzztime
-# for deeper soaks.
+# through a test-only model and the production TLB, POM-TLB, cache and
+# page table, identical returns, counters and saved state required.
+# Extend -fuzztime for deeper soaks.
 fuzz-models:
 	$(GO) test ./internal/tlb/ -run '^$$' -fuzz FuzzTLBModel -fuzztime 30s
 	$(GO) test ./internal/tlb/ -run '^$$' -fuzz FuzzPOMModel -fuzztime 30s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz FuzzCacheModel -fuzztime 30s
+	$(GO) test ./internal/pagetable/ -run '^$$' -fuzz FuzzTableModel -fuzztime 30s
 
 # Bounded fuzz pass over the snapshot codec: encode→decode must give back
 # an equal state and the exact bytes, single-byte damage must never decode

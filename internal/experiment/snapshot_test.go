@@ -147,3 +147,34 @@ func TestRunnerJSONLineSnapshotRunsFromZero(t *testing.T) {
 		t.Errorf("after the run: %+v err=%v, want 0 live and %d quarantined", info, err, len(keys))
 	}
 }
+
+// TestRunnerClearsTornSnapshotTemp: a process killed mid-Write leaves a
+// <key>.snap.tmp-* file in the job's slot; once the job next completes,
+// the runner's cleanup removes it with the snapshot, so the directory
+// ends empty.
+func TestRunnerClearsTornSnapshotTemp(t *testing.T) {
+	cfg := microScale.BaseConfig()
+	cfg.Mix = workload.Mix{ID: "snaptorn", VM1: workload.GUPS, VM2: workload.StreamCluster}
+	key, err := checkpoint.KeyOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	torn := snapshot.PathFor(dir, key) + ".tmp-4242"
+	if err := os.WriteFile(torn, make([]byte, 1<<16), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(microScale)
+	r.SnapshotDir = dir
+	r.SnapshotEvery = 5_000
+	if _, err := r.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("left in the snapshot directory after completion: %s", e.Name())
+	}
+}

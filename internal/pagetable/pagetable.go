@@ -9,10 +9,17 @@
 // table's "physical" addresses are guest-physical (gPA), the host/EPT
 // table's are host-physical (hPA). The nested walker in internal/walker
 // composes the two.
+//
+// In host memory each node is a 512-bit present bitmap plus its present
+// entries packed in slot order; a slot's entry is found by the popcount
+// rank of its bit. Interior entries point straight at their child node,
+// so a descent is pointer chasing with no hashing, and a node costs
+// space in proportion to its present entries, not to its 512 slots.
 package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/csalt-sim/csalt/internal/mem"
 )
@@ -36,21 +43,53 @@ type Step struct {
 	Level int
 }
 
-// entry is one PTE.
+// entry is one present PTE: an interior entry has a child node, a leaf
+// entry has none and maps frame. A leaf's page size follows from its
+// level (see leafSize).
 type entry struct {
-	present bool
-	leaf    bool
-	next    mem.PAddr // next node frame, or mapped frame when leaf
-	size    mem.PageSize
+	child *node
+	frame mem.PAddr
 }
 
-// node is one table node occupying a 4 KB frame. Entries are stored
-// sparsely: big sparse address spaces (fragmented heaps) populate only a
-// handful of slots per node, and a dense 512-entry array per node would
-// make large simulations needlessly memory-hungry.
+// node is one table node occupying a 4 KB frame. present has bit i set
+// when slot i holds an entry, and entries holds the present entries in
+// slot order, so slot i's entry sits at the number of present slots below
+// i. Address spaces are sparse (fragmented heaps populate a handful of
+// slots in most upper-level nodes), so a dense 512-entry array per node
+// would cost far more memory than the bitmap, and a per-node map costs a
+// hash probe on every level of every walk.
 type node struct {
 	frame   mem.PAddr
-	entries map[int]entry
+	present [entriesPerNode / 64]uint64
+	entries []entry
+}
+
+// rank returns the position slot's entry has, or would have, in
+// n.entries, and whether the slot is present.
+func (n *node) rank(slot int) (int, bool) {
+	w, b := slot>>6, uint(slot&63)
+	r := bits.OnesCount64(n.present[w] & (1<<b - 1))
+	for _, word := range n.present[:w] {
+		r += bits.OnesCount64(word)
+	}
+	return r, n.present[w]&(1<<b) != 0
+}
+
+// get returns slot's entry, or nil when the slot is not present.
+func (n *node) get(slot int) *entry {
+	r, ok := n.rank(slot)
+	if !ok {
+		return nil
+	}
+	return &n.entries[r]
+}
+
+// insert fills the absent slot with e at its rank r.
+func (n *node) insert(slot, r int, e entry) {
+	n.present[slot>>6] |= 1 << uint(slot&63)
+	n.entries = append(n.entries, entry{})
+	copy(n.entries[r+1:], n.entries[r:])
+	n.entries[r] = e
 }
 
 // Table is one radix page table.
@@ -58,9 +97,6 @@ type Table struct {
 	levels int
 	alloc  FrameAlloc
 	root   *node
-	// nodes indexes interior nodes by frame address, letting walks follow
-	// frame pointers the way hardware does.
-	nodes map[mem.PAddr]*node
 
 	nodeCount int
 	mapped4K  uint64
@@ -73,7 +109,7 @@ func New(alloc FrameAlloc, levels int) (*Table, error) {
 	if levels != 4 && levels != 5 {
 		return nil, fmt.Errorf("pagetable: unsupported depth %d (want 4 or 5)", levels)
 	}
-	t := &Table{levels: levels, alloc: alloc, nodes: make(map[mem.PAddr]*node)}
+	t := &Table{levels: levels, alloc: alloc}
 	root, err := t.newNode()
 	if err != nil {
 		return nil, err
@@ -87,10 +123,8 @@ func (t *Table) newNode() (*node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagetable: allocating node: %w", err)
 	}
-	n := &node{frame: frame, entries: make(map[int]entry, 8)}
-	t.nodes[frame] = n
 	t.nodeCount++
-	return n, nil
+	return &node{frame: frame}, nil
 }
 
 // Levels returns the table depth.
@@ -119,6 +153,14 @@ func leafLevel(size mem.PageSize) int {
 	return 1
 }
 
+// leafSize is leafLevel's inverse: the size of a leaf at level.
+func leafSize(level int) mem.PageSize {
+	if level == 2 {
+		return mem.Page2M
+	}
+	return mem.Page4K
+}
+
 // Map installs a translation from the page containing v to frame. Frame
 // must be aligned to the page size. Remapping an existing page to a
 // different frame, or crossing a previously installed mapping of another
@@ -131,28 +173,31 @@ func (t *Table) Map(v mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
 	n := t.root
 	for level := t.levels; level > stop; level-- {
 		idx := index(v, level)
-		e := n.entries[idx]
-		if e.present && e.leaf {
-			return fmt.Errorf("pagetable: %#x crosses existing %s leaf at level %d", v, e.size, level)
-		}
-		if !e.present {
+		r, ok := n.rank(idx)
+		if !ok {
 			child, err := t.newNode()
 			if err != nil {
 				return err
 			}
-			e = entry{present: true, next: child.frame}
-			n.entries[idx] = e
+			n.insert(idx, r, entry{child: child})
+			n = child
+			continue
 		}
-		n = t.nodes[e.next]
+		e := &n.entries[r]
+		if e.child == nil {
+			return fmt.Errorf("pagetable: %#x crosses existing %s leaf at level %d", v, leafSize(level), level)
+		}
+		n = e.child
 	}
 	idx := index(v, stop)
-	if e, ok := n.entries[idx]; ok && e.present {
-		if e.leaf && e.next == frame && e.size == size {
+	r, ok := n.rank(idx)
+	if ok {
+		if e := &n.entries[r]; e.child == nil && e.frame == frame {
 			return nil // idempotent remap of the identical translation
 		}
 		return fmt.Errorf("pagetable: %#x already mapped", v)
 	}
-	n.entries[idx] = entry{present: true, leaf: true, next: frame, size: size}
+	n.insert(idx, r, entry{frame: frame})
 	if size == mem.Page2M {
 		t.mapped2M++
 	} else {
@@ -166,14 +211,14 @@ func (t *Table) Map(v mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
 func (t *Table) Lookup(v mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 	n := t.root
 	for level := t.levels; level >= 1; level-- {
-		e := n.entries[index(v, level)]
-		if !e.present {
+		e := n.get(index(v, level))
+		if e == nil {
 			return 0, 0, false
 		}
-		if e.leaf {
-			return e.next, e.size, true
+		if e.child == nil {
+			return e.frame, leafSize(level), true
 		}
-		n = t.nodes[e.next]
+		n = e.child
 	}
 	return 0, 0, false
 }
@@ -196,16 +241,16 @@ func (t *Table) Translate(v mem.VAddr) (mem.PAddr, bool) {
 func (t *Table) Walk(v mem.VAddr, steps []Step) ([]Step, mem.PAddr, mem.PageSize, bool) {
 	n := t.root
 	for level := t.levels; level >= 1; level-- {
-		pte := n.frame + mem.PAddr(index(v, level)*entryBytes)
-		steps = append(steps, Step{Addr: pte, Level: level})
-		e := n.entries[index(v, level)]
-		if !e.present {
+		idx := index(v, level)
+		steps = append(steps, Step{Addr: n.frame + mem.PAddr(idx*entryBytes), Level: level})
+		e := n.get(idx)
+		if e == nil {
 			return steps, 0, 0, false
 		}
-		if e.leaf {
-			return steps, e.next, e.size, true
+		if e.child == nil {
+			return steps, e.frame, leafSize(level), true
 		}
-		n = t.nodes[e.next]
+		n = e.child
 	}
 	return steps, 0, 0, false
 }

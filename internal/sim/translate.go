@@ -204,42 +204,39 @@ func (m *memSystem) pomTLB() *tlb.POM { return m.pom }
 
 // prewarmTranslation demand-maps v and installs its translation in the
 // memory-resident translation structures (POM-TLB, TSBs), without touching
-// any hardware TLB or cache state.
+// any hardware TLB or cache state. A new page's translation comes from the
+// mapping just installed; the tables are walked only for a page that was
+// already mapped.
 func (m *memSystem) prewarmTranslation(vm *vmState, v mem.VAddr) error {
-	if _, err := vm.ensureMapped(v); err != nil {
-		return err
-	}
-	if m.pom == nil && m.cfg.Org != OrgTSB {
-		return nil
-	}
-	gpa, ok := vm.space.Guest.Translate(v)
-	if !ok {
-		return fmt.Errorf("sim: prewarm: %#x unmapped after ensureMapped", v)
-	}
-	pa := gpa
-	if vm.space.Virtualized() {
-		if pa, ok = vm.space.Host.Translate(mem.VAddr(gpa)); !ok {
-			return fmt.Errorf("sim: prewarm: gPA %#x unmapped in host table", gpa)
+	var pg mapping
+	if key := uint64(v) >> vm.presentShift; vm.present.has(key) {
+		if m.pom == nil && m.cfg.Org != OrgTSB {
+			return nil
 		}
+		var ok bool
+		if pg, ok = vm.lookup(v); !ok {
+			return fmt.Errorf("sim: prewarm: %#x in the presence set but not mapped", v)
+		}
+	} else {
+		var err error
+		if pg, err = vm.ensureMappedSlow(v); err != nil {
+			return err
+		}
+		vm.present.add(key)
 	}
-	frame := pa &^ (mem.PageSize4K - 1)
 	if m.pom != nil {
-		if m.cfg.HugePages && !vm.space.Virtualized() {
-			if hugeFrame, size, ok := vm.space.Guest.Lookup(v); ok && size == mem.Page2M {
-				m.pom.InsertSized(v, vm.asid, hugeFrame, mem.Page2M)
-			} else {
-				m.pom.Insert(v, vm.asid, frame)
-			}
+		if pg.gSize == mem.Page2M { // native huge pages: per-size POM entries
+			m.pom.InsertSized(v, vm.asid, pg.gFrame, mem.Page2M)
 		} else {
-			m.pom.Insert(v, vm.asid, frame)
+			m.pom.Insert(v, vm.asid, pg.hFrame)
 		}
 	}
 	if m.cfg.Org == OrgTSB {
 		if vm.space.Virtualized() {
-			m.gtsb[vm.asid].Insert(v, vm.asid, gpa&^(mem.PageSize4K-1))
-			m.htsb[vm.asid].Insert(mem.VAddr(gpa), vm.asid, frame)
+			m.gtsb[vm.asid].Insert(v, vm.asid, pg.gFrame)
+			m.htsb[vm.asid].Insert(mem.VAddr(pg.gFrame), vm.asid, pg.hFrame)
 		} else {
-			m.htsb[vm.asid].Insert(v, vm.asid, frame)
+			m.htsb[vm.asid].Insert(v, vm.asid, pg.hFrame)
 		}
 	}
 	return nil

@@ -48,9 +48,10 @@ type vmState struct {
 
 	// present caches which mapping granules are already installed, so the
 	// per-reference mapped-check is one open-addressing probe instead of a
-	// full radix page-table walk through Go maps. presentShift is the
-	// granule: 2 MB for native huge-page VMs (one mapping covers the whole
-	// granule), 4 KB otherwise.
+	// radix descent of four or five nodes. presentShift is the granule:
+	// 2 MB for native huge-page VMs (one mapping covers the whole granule),
+	// 4 KB otherwise. Every guest mapping is made on a miss in this set at
+	// this granule, so the set and the guest table agree page for page.
 	present      *pageSet
 	presentShift uint
 
@@ -172,62 +173,70 @@ func newVM(asid mem.ASID, bench workload.Name, virtualized bool, levels int,
 	return vm, nil
 }
 
+// mapping is one 4 KB page's translation: the guest leaf that covers it
+// (frame and size; gVA→hPA for a native VM, gVA→gPA for a virtualized
+// one) and the host-physical 4 KB frame that backs it.
+type mapping struct {
+	gFrame mem.PAddr
+	gSize  mem.PageSize
+	hFrame mem.PAddr
+}
+
 // ensureMapped demand-populates the translation for v's page on first
 // touch: a soft page fault whose OS cost, like the paper's, is not charged
 // to the pipeline. Returns true if a new page was mapped.
 //
 // The presence set answers the (overwhelmingly common) already-mapped case
-// in O(1); a set miss falls through to ensureMappedSlow, whose outcome is
-// then recorded. The set only short-circuits the pure "is it mapped"
-// radix-table check.
+// with one hash probe, where a radix descent of the tables costs one
+// pointer chase per level; a set miss falls through to ensureMappedSlow,
+// whose outcome is then recorded.
 func (vm *vmState) ensureMapped(v mem.VAddr) (bool, error) {
 	if vm.present.has(uint64(v) >> vm.presentShift) {
 		return false, nil
 	}
-	created, err := vm.ensureMappedSlow(v)
-	if err == nil {
-		vm.present.add(uint64(v) >> vm.presentShift)
+	if _, err := vm.ensureMappedSlow(v); err != nil {
+		return false, err
 	}
-	return created, err
+	vm.present.add(uint64(v) >> vm.presentShift)
+	return true, nil
 }
 
-// ensureMappedSlow is ensureMapped's presence-set miss path: it consults
-// the page table and maps v's page if it is absent.
-func (vm *vmState) ensureMappedSlow(v mem.VAddr) (bool, error) {
-	if _, _, ok := vm.space.Guest.Lookup(v); ok {
-		return false, nil
-	}
+// ensureMappedSlow is the presence-set miss path: it maps v's page and
+// returns what it installed; the caller records the page in the set.
+// Every mapping of a guest page is made here on a miss at the set's
+// granule, so a miss means the page is absent from the guest table.
+func (vm *vmState) ensureMappedSlow(v mem.VAddr) (mapping, error) {
 	if !vm.space.Virtualized() {
 		if vm.hugePages {
 			base := v &^ (mem.PageSize2M - 1)
 			hpa, err := vm.hostA.Alloc2M()
 			if err != nil {
-				return false, err
+				return mapping{}, err
 			}
 			if err := vm.space.Guest.Map(base, hpa, mem.Page2M); err != nil {
-				return false, err
+				return mapping{}, err
 			}
 			vm.touchedPages += mem.PageSize2M / mem.PageSize4K
-			return true, nil
+			return nativeMapping(v, hpa, mem.Page2M), nil
 		}
 		hpa, err := vm.hostA.Alloc4K()
 		if err != nil {
-			return false, err
+			return mapping{}, err
 		}
 		if err := vm.space.Guest.Map(v&^(mem.PageSize4K-1), hpa, mem.Page4K); err != nil {
-			return false, err
+			return mapping{}, err
 		}
 		vm.touchedPages++
-		return true, nil
+		return nativeMapping(v, hpa, mem.Page4K), nil
 	}
 
 	page := v &^ (mem.PageSize4K - 1)
 	gpa, err := vm.gDataA.Alloc4K()
 	if err != nil {
-		return false, err
+		return mapping{}, err
 	}
 	if err := vm.space.Guest.Map(page, gpa, mem.Page4K); err != nil {
-		return false, err
+		return mapping{}, err
 	}
 	// The hypervisor backs guest-physical data with 2 MB EPT mappings, as
 	// KVM with THP does: host frames are carved per 2 MB gPA region on
@@ -237,24 +246,44 @@ func (vm *vmState) ensureMappedSlow(v mem.VAddr) (bool, error) {
 	if vm.ept4K {
 		hpa, err := vm.hostA.Alloc4K()
 		if err != nil {
-			return false, err
+			return mapping{}, err
 		}
 		if err := vm.space.Host.Map(mem.VAddr(gpa), hpa, mem.Page4K); err != nil {
-			return false, err
+			return mapping{}, err
 		}
 		vm.touchedPages++
-		return true, nil
+		return mapping{gFrame: gpa, gSize: mem.Page4K, hFrame: hpa}, nil
 	}
 	region := mem.VAddr(gpa) &^ (mem.PageSize2M - 1)
-	if _, _, ok := vm.space.Host.Lookup(region); !ok {
-		hpa, err := vm.hostA.Alloc2M()
-		if err != nil {
-			return false, err
+	hpa, _, ok := vm.space.Host.Lookup(region)
+	if !ok {
+		if hpa, err = vm.hostA.Alloc2M(); err != nil {
+			return mapping{}, err
 		}
 		if err := vm.space.Host.Map(region, hpa, mem.Page2M); err != nil {
-			return false, err
+			return mapping{}, err
 		}
 	}
 	vm.touchedPages++
-	return true, nil
+	return mapping{gFrame: gpa, gSize: mem.Page4K, hFrame: hpa + (gpa - mem.PAddr(region))}, nil
+}
+
+// nativeMapping is a native VM's mapping of v under a guest leaf of the
+// given size, whose frame is already host-physical.
+func nativeMapping(v mem.VAddr, frame mem.PAddr, size mem.PageSize) mapping {
+	return mapping{gFrame: frame, gSize: size,
+		hFrame: frame + mem.PAddr(mem.PageOffset(v, size)&^(mem.PageSize4K-1))}
+}
+
+// lookup walks the tables for an already-mapped v.
+func (vm *vmState) lookup(v mem.VAddr) (mapping, bool) {
+	frame, size, ok := vm.space.Guest.Lookup(v)
+	if !ok {
+		return mapping{}, false
+	}
+	if !vm.space.Virtualized() {
+		return nativeMapping(v, frame, size), true
+	}
+	hpa, ok := vm.space.Host.Translate(mem.VAddr(frame))
+	return mapping{gFrame: frame, gSize: size, hFrame: hpa}, ok
 }

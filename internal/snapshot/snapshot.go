@@ -232,10 +232,29 @@ func Quarantine(path string) (string, error) {
 	return dst, nil
 }
 
-// Remove deletes the snapshot for a completed job; a missing file is fine.
+// Remove deletes the snapshot for a completed job, together with any
+// <path>.tmp-* file a Write killed before its rename left in the slot; a
+// missing file is fine.
 func Remove(path string) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("snapshot: %w", err)
+	}
+	dir := filepath.Dir(path)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	prefix := filepath.Base(path) + ".tmp-"
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), prefix) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("snapshot: %w", err)
+		}
 	}
 	return nil
 }

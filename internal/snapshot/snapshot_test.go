@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -498,6 +499,38 @@ func TestScanDir(t *testing.T) {
 func TestRemoveMissingIsFine(t *testing.T) {
 	if err := Remove(filepath.Join(t.TempDir(), "gone.snap")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoveClearsTornTempFiles: a Write killed between CreateTemp and
+// its rename leaves <path>.tmp-*; Remove on completion deletes those with
+// the snapshot, and leaves other slots' files alone.
+func TestRemoveClearsTornTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := PathFor(dir, "a")
+	if err := Write(path, sampleMeta("a"), sampleState(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	keep := []string{"b.snap", "b.snap.tmp-1", "a.snap.corrupt"}
+	for _, name := range append([]string{"a.snap.tmp-123", "a.snap.tmp-456"}, keep...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	sort.Strings(keep)
+	if !reflect.DeepEqual(got, keep) {
+		t.Fatalf("after Remove: %v, want %v", got, keep)
 	}
 }
 
